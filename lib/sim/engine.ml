@@ -297,6 +297,60 @@ let fused_members p id =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Fault tables: the input of a faulted run. [Fault] folds its injected
+   events into one; the engine only reads it (and the per-op attempt
+   counters it writes). *)
+
+exception Unrecoverable of { op : int; resource : int; attempts : int }
+
+type faults = {
+  fail_at : float array;
+  flaky : (float * float) list array;
+  degr_t : float array array;
+  degr_m : float array array;
+  timeout_s : float;
+  backoff_s : float;
+  max_attempts : int;
+  attempts : int array;
+}
+
+(* The healthy sentinel: a run without [~faults] compares against it once
+   and takes the fused, nominal-rate branch. *)
+let no_faults =
+  {
+    fail_at = [||];
+    flaky = [||];
+    degr_t = [||];
+    degr_m = [||];
+    timeout_s = 0.;
+    backoff_s = 0.;
+    max_attempts = 1;
+    attempts = [||];
+  }
+
+let is_flaky windows t =
+  List.exists (fun (from_s, until_s) -> t >= from_s && t < until_s) windows
+
+(* Absolute finish time of [work] seconds of nominal-rate service on
+   resource [r] starting at [t0], integrating the piecewise-constant rate
+   multiplier. A segment ends the service when its finish lands at or
+   before the next rate change, so a degradation at or after the nominal
+   finish leaves it exactly [t0 +. work] (the healthy arithmetic). *)
+let service_finish f r t0 work =
+  let degr_t = f.degr_t.(r) and degr_m = f.degr_m.(r) in
+  let n = Array.length degr_t in
+  (* Multiplier already in force at t0. *)
+  let i0 = ref 0 in
+  while !i0 < n && degr_t.(!i0) <= t0 do incr i0 done;
+  let rec go t w m i =
+    let fin = t +. (w /. m) in
+    if w <= 0. then t
+    else if i >= n || fin <= degr_t.(i) then fin
+    else go degr_t.(i) (w -. ((degr_t.(i) -. t) *. m)) degr_m.(i) (i + 1)
+  in
+  go t0 work (if !i0 = 0 then 1. else degr_m.(!i0 - 1)) !i0
+
+(* ------------------------------------------------------------------ *)
 (* Arenas: the engine's mutable working set, reset in place per run.
    Arrays are kept at exactly (n ops, n resources) — [result] aliases
    them directly, and consumers like [Trace.utilizations] iterate the
@@ -312,7 +366,15 @@ type arena = {
   mutable a_lanes : int array;
   a_mk : float array;  (* 1 slot: running makespan, unboxed *)
   a_events : Events.t;
+  a_staged : float array;  (* [Events.staged a_events] *)
   mutable a_wait : Waitq.t array;
+  (* The run's settings, stored here at the start of each run so the
+     dispatch functions below are top-level functions of (schedule,
+     arena) rather than closures allocated per run. *)
+  mutable a_fair : bool;
+  mutable a_rec : Recorder.t;
+  mutable a_faults : faults;
+  mutable a_tel : Telemetry.t;
   a_in_use : bool Atomic.t;
       (* Guards against concurrent or reentrant runs on one arena, which
          would silently corrupt the working arrays. Atomic so the
@@ -320,6 +382,7 @@ type arena = {
 }
 
 let arena () =
+  let events = Events.create () in
   {
     a_start = [||];
     a_finish = [||];
@@ -328,8 +391,13 @@ let arena () =
     a_busy = [||];
     a_lanes = [||];
     a_mk = Array.make 1 0.;
-    a_events = Events.create ();
+    a_events = events;
+    a_staged = Events.staged events;
     a_wait = [||];
+    a_fair = true;
+    a_rec = Recorder.none;
+    a_faults = no_faults;
+    a_tel = Telemetry.disabled;
     a_in_use = Atomic.make false;
   }
 
@@ -364,180 +432,223 @@ let reset_arena a p =
   a.a_mk.(0) <- 0.;
   Events.clear a.a_events
 
+(* ------------------------------------------------------------------ *)
+(* Dispatch. Float times travel through arrays, never as arguments:
+   calls box float arguments, and this is the per-op hot path. An op's
+   start time is read from the staged slot ([a_staged.(0)], where
+   [pop_staged] leaves the event time) or, for fused chain members, from
+   [a_start] (written by the predecessor); its finish is then in
+   [a_finish]. *)
+
+(* Flight recorder: begin and end are both known at dispatch (the
+   simulator fixes the finish when service starts), so the pair is
+   written together with inline array stores and no allocation. *)
+let record_pair (rc : Recorder.t) p a id =
+  let r = p.p_res_of.(id) in
+  let h = rc.Recorder.head in
+  let mask = rc.Recorder.mask in
+  let i = h land mask in
+  rc.Recorder.ev_kind.(i) <- 0;
+  rc.Recorder.ev_op.(i) <- id;
+  rc.Recorder.ev_res.(i) <- r;
+  rc.Recorder.ev_time.(i) <- a.a_start.(id);
+  let j = (h + 1) land mask in
+  rc.Recorder.ev_kind.(j) <- 1;
+  rc.Recorder.ev_op.(j) <- id;
+  rc.Recorder.ev_res.(j) <- r;
+  rc.Recorder.ev_time.(j) <- a.a_finish.(id);
+  rc.Recorder.head <- h + 2
+
+(* Release [id]'s dependents at its finish time: data edges pay the
+   dependent's pipeline latency, stream edges do not, and a dependent
+   whose last dependency this was becomes a ready event. [skip] is a
+   packed edge to leave alone (a fused chain's inline successor) or -1,
+   which matches no edge. *)
+let fan_out p a id skip =
+  let fin = a.a_finish.(id) in
+  for e = p.p_dep_off.(id) to p.p_dep_off.(id + 1) - 1 do
+    let packed = p.p_dep.(e) in
+    if packed <> skip then begin
+      let dep = packed lsr 1 in
+      let candidate = if packed land 1 = 1 then fin else fin +. p.p_lat.(dep) in
+      if candidate > a.a_ready.(dep) then a.a_ready.(dep) <- candidate;
+      let pend = a.a_pending.(dep) - 1 in
+      a.a_pending.(dep) <- pend;
+      if pend = 0 then begin
+        a.a_staged.(0) <- a.a_ready.(dep);
+        Events.add_staged a.a_events dep
+      end
+    end
+  done
+
+(* Book one dispatched op whose service window is in
+   [a_start]/[a_finish]: record it, hold a lane until the release time
+   in [a_staged.(0)] (resourced ops only), and release its dependents. *)
+let book p a id =
+  if a.a_rec != Recorder.none then record_pair a.a_rec p a id;
+  let r = p.p_res_of.(id) in
+  if r >= 0 then begin
+    a.a_lanes.(r) <- a.a_lanes.(r) - 1;
+    (* Lane_free events are encoded as negative values (-1 - r). *)
+    Events.add_staged a.a_events (-1 - r)
+  end;
+  let fin = a.a_finish.(id) in
+  if fin > a.a_mk.(0) then a.a_mk.(0) <- fin;
+  fan_out p a id (-1)
+
+let rec fused_member p a id =
+  let t = a.a_start.(id) in
+  let fin = t +. p.p_dur.(id) in
+  a.a_finish.(id) <- fin;
+  if a.a_rec != Recorder.none then record_pair a.a_rec p a id;
+  let next = p.p_fuse_next.(id) in
+  if next < 0 then begin
+    (* Last member: release the chain's lane before the dependents
+       fan-out, exactly where the unfused engine pushes its lane_free
+       (so equal-timestamp pops keep the free-before-acquire order). *)
+    if fin > a.a_mk.(0) then a.a_mk.(0) <- fin;
+    a.a_staged.(0) <- t +. p.p_occ.(id);
+    Events.add_staged a.a_events (-1 - p.p_res_of.(id))
+  end;
+  (* The stream edge to the next chain member is handled inline below;
+     skipping it in the fan-out keeps the member's pending count above
+     zero, so it never enters the event heap. *)
+  fan_out p a id ((next lsl 1) lor 1);
+  if next >= 0 then begin
+    (* Back-to-back on one lane: the successor starts exactly at this
+       member's finish (stream edges pay no latency, and under the
+       contention-free precondition it never waits for the lane). *)
+    a.a_start.(next) <- fin;
+    fused_member p a next
+  end
+
+(* One attempt of a resourced op under the run's fault table. All fault
+   times are known when the run starts, so the outcome is decided here:
+   an attempt starting on a dead resource or inside a flaky window, or
+   cut by a mid-service death, fails and is detected [timeout_s] after
+   it stalls, holding the lane meanwhile; degradations stretch service
+   by integrating the rate multiplier. Busy time is added at dispatch,
+   failed attempts included. *)
+let start_faulted p a id r =
+  let f = a.a_faults in
+  let t = a.a_staged.(0) in
+  let fail_at = f.fail_at.(r) in
+  let gap = p.p_resources.(r).gap in
+  let dead = t >= fail_at || is_flaky f.flaky.(r) t in
+  let fin = if dead then t else service_finish f r t p.p_dur.(id) in
+  if (not dead) && fin <= fail_at then begin
+    let occupancy = Float.max (fin -. t) gap in
+    a.a_busy.(r) <- a.a_busy.(r) +. occupancy;
+    a.a_start.(id) <- t;
+    a.a_finish.(id) <- fin;
+    a.a_staged.(0) <- t +. occupancy;
+    book p a id
+  end
+  else begin
+    let detected = (if dead then t else fail_at) +. f.timeout_s in
+    let k = f.attempts.(id) + 1 in
+    f.attempts.(id) <- k;
+    if k >= f.max_attempts then
+      raise (Unrecoverable { op = id; resource = r; attempts = k });
+    let occupancy = Float.max (detected -. t) gap in
+    a.a_busy.(r) <- a.a_busy.(r) +. occupancy;
+    a.a_lanes.(r) <- a.a_lanes.(r) - 1;
+    a.a_staged.(0) <- t +. occupancy;
+    Events.add_staged a.a_events (-1 - r);
+    if a.a_rec != Recorder.none then
+      Recorder.record a.a_rec Recorder.Retry ~op:id ~res:r ~time:detected;
+    Telemetry.incr a.a_tel "engine.retries";
+    (* Re-issue after an exponential backoff. *)
+    a.a_staged.(0) <- detected +. (f.backoff_s *. (2. ** Float.of_int (k - 1)));
+    Events.add_staged a.a_events id
+  end
+
+(* Dispatch op [id] on a free lane (or on no resource) at the time in
+   [a_staged.(0)]. Faulted runs dispatch one op per event: fusion is
+   exact only under nominal service times. *)
+let start_op p a id =
+  let r = p.p_res_of.(id) in
+  if a.a_faults != no_faults && r >= 0 then start_faulted p a id r
+  else begin
+    let t = a.a_staged.(0) in
+    a.a_start.(id) <- t;
+    if p.p_fuse_len.(id) > 1 then begin
+      (* Chain head: one lane serves the whole chain, acquired here and
+         released by [fused_member] at the last member's release time. *)
+      a.a_lanes.(r) <- a.a_lanes.(r) - 1;
+      fused_member p a id
+    end
+    else begin
+      a.a_finish.(id) <- t +. p.p_dur.(id);
+      if r >= 0 then a.a_staged.(0) <- t +. p.p_occ.(id);
+      book p a id
+    end
+  end
+
+let rec drain p a =
+  let events = a.a_events in
+  if not (Events.is_empty events) then begin
+    let v = Events.pop_staged events in
+    if v >= 0 then begin
+      (* Ready op. *)
+      let r = p.p_res_of.(v) in
+      if r < 0 || a.a_lanes.(r) > 0 then start_op p a v
+      else begin
+        (* Per-resource waiting sets keyed by the scheduling policy. *)
+        let w = a.a_wait.(r) in
+        (Waitq.staged w).(0) <- (if a.a_fair then a.a_staged.(0) else 0.);
+        Waitq.add_staged w p.p_stream.(v) v
+      end
+    end
+    else begin
+      (* Lane freed on resource (-1 - v). [pop_staged] on the waitq
+         leaves [a_staged.(0)] untouched, so the event time is still in
+         place for [start_op]. *)
+      let r = -1 - v in
+      a.a_lanes.(r) <- a.a_lanes.(r) + 1;
+      let w = a.a_wait.(r) in
+      if not (Waitq.is_empty w) then start_op p a (Waitq.pop_staged w)
+    end;
+    drain p a
+  end
+
 let run_prepared ?(policy = `Fair) ?(telemetry = Telemetry.disabled) ?arena:a
-    ?(recorder = Recorder.none) p =
+    ?(recorder = Recorder.none) ?(faults = no_faults) p =
   let t_span = Telemetry.now_s telemetry in
   let a = match a with Some a -> a | None -> scratch_arena () in
+  let n = p.p_n and n_res = p.p_n_res in
+  let faulted = faults != no_faults in
+  if
+    faulted
+    && (Array.length faults.attempts <> n
+       || Array.length faults.fail_at <> n_res
+       || Array.length faults.flaky <> n_res
+       || Array.length faults.degr_t <> n_res
+       || Array.length faults.degr_m <> n_res)
+  then invalid_arg "Engine.run_prepared: fault table does not fit the schedule";
   if Atomic.exchange a.a_in_use true then
     invalid_arg
       "Engine.run_prepared: arena already in use (concurrent or reentrant \
        run on one arena)";
   reset_arena a p;
-  let n = p.p_n in
-  let events = a.a_events in
-  let estaged = Events.staged events in
-  let fair = match policy with `Fair -> true | `Stream_priority -> false in
-  (* Flight recorder: a single physical-equality check hoisted here, then
-     inline int/float array stores in [start_op] — no closure call (which
-     would box the float times) and no per-op allocation. *)
-  let rec_on = recorder != Recorder.none in
-  (* [start_op] takes its start time through the staged slot rather than
-     as a float argument: closure calls box float arguments, and this is
-     the per-op hot path. Callers leave the time in [estaged.(0)] (where
-     [pop_staged] already put it); it is read once on entry, before the
-     slot is reused for pushes. Fused chain members likewise pass their
-     start time through [a_start] (written by their predecessor) instead
-     of a float argument. *)
-  let rec fused_member id =
-    let t = a.a_start.(id) in
-    let fin = t +. p.p_dur.(id) in
-    a.a_finish.(id) <- fin;
-    if rec_on then begin
-      let r = p.p_res_of.(id) in
-      let h = recorder.Recorder.head in
-      let mask = recorder.Recorder.mask in
-      let i = h land mask in
-      recorder.Recorder.ev_kind.(i) <- 0;
-      recorder.Recorder.ev_op.(i) <- id;
-      recorder.Recorder.ev_res.(i) <- r;
-      recorder.Recorder.ev_time.(i) <- t;
-      let j = (h + 1) land mask in
-      recorder.Recorder.ev_kind.(j) <- 1;
-      recorder.Recorder.ev_op.(j) <- id;
-      recorder.Recorder.ev_res.(j) <- r;
-      recorder.Recorder.ev_time.(j) <- fin;
-      recorder.Recorder.head <- h + 2
-    end;
-    let next = p.p_fuse_next.(id) in
-    if next < 0 then begin
-      (* Last member: release the chain's lane before the dependents
-         fan-out, exactly where the unfused engine pushes its lane_free
-         (so equal-timestamp pops keep the free-before-acquire order). *)
-      if fin > a.a_mk.(0) then a.a_mk.(0) <- fin;
-      let r = p.p_res_of.(id) in
-      estaged.(0) <- t +. p.p_occ.(id);
-      Events.add_staged events (-1 - r)
-    end;
-    (* The stream edge to the next chain member is handled inline below;
-       its packed value is skipped here so the member's pending count
-       never reaches zero and it never enters the event heap. *)
-    let skip = (next lsl 1) lor 1 in
-    for e = p.p_dep_off.(id) to p.p_dep_off.(id + 1) - 1 do
-      let packed = p.p_dep.(e) in
-      if packed <> skip then begin
-        let dep = packed lsr 1 in
-        let candidate =
-          if packed land 1 = 1 then fin else fin +. p.p_lat.(dep)
-        in
-        if candidate > a.a_ready.(dep) then a.a_ready.(dep) <- candidate;
-        let pend = a.a_pending.(dep) - 1 in
-        a.a_pending.(dep) <- pend;
-        if pend = 0 then begin
-          estaged.(0) <- a.a_ready.(dep);
-          Events.add_staged events dep
-        end
-      end
-    done;
-    if next >= 0 then begin
-      (* Back-to-back on one lane: the successor starts exactly at this
-         member's finish (stream edges pay no latency, and under the
-         contention-free precondition it never waits for the lane). *)
-      a.a_start.(next) <- fin;
-      fused_member next
-    end
-  in
-  let start_op id =
-    let t = estaged.(0) in
-    if p.p_fuse_len.(id) > 1 then begin
-      (* Chain head: one lane serves the whole chain, acquired here and
-         released by [fused_member] at the last member's release time. *)
-      let r = p.p_res_of.(id) in
-      a.a_lanes.(r) <- a.a_lanes.(r) - 1;
-      a.a_start.(id) <- t;
-      fused_member id
-    end
-    else begin
-      let dur = p.p_dur.(id) in
-      a.a_start.(id) <- t;
-      let fin = t +. dur in
-      a.a_finish.(id) <- fin;
-      let r = p.p_res_of.(id) in
-      if rec_on then begin
-        (* Begin and end are both known at dispatch (the simulator fixes
-           the finish when service starts), so write the pair together. *)
-        let h = recorder.Recorder.head in
-        let mask = recorder.Recorder.mask in
-        let i = h land mask in
-        recorder.Recorder.ev_kind.(i) <- 0;
-        recorder.Recorder.ev_op.(i) <- id;
-        recorder.Recorder.ev_res.(i) <- r;
-        recorder.Recorder.ev_time.(i) <- t;
-        let j = (h + 1) land mask in
-        recorder.Recorder.ev_kind.(j) <- 1;
-        recorder.Recorder.ev_op.(j) <- id;
-        recorder.Recorder.ev_res.(j) <- r;
-        recorder.Recorder.ev_time.(j) <- fin;
-        recorder.Recorder.head <- h + 2
-      end;
-      if r >= 0 then begin
-        let occupancy = p.p_occ.(id) in
-        a.a_lanes.(r) <- a.a_lanes.(r) - 1;
-        (* Lane_free events are encoded as negative values (-1 - r). *)
-        estaged.(0) <- t +. occupancy;
-        Events.add_staged events (-1 - r)
-      end;
-      if fin > a.a_mk.(0) then a.a_mk.(0) <- fin;
-      for e = p.p_dep_off.(id) to p.p_dep_off.(id + 1) - 1 do
-        let packed = p.p_dep.(e) in
-        let dep = packed lsr 1 in
-        let candidate =
-          if packed land 1 = 1 then fin else fin +. p.p_lat.(dep)
-        in
-        if candidate > a.a_ready.(dep) then a.a_ready.(dep) <- candidate;
-        let pend = a.a_pending.(dep) - 1 in
-        a.a_pending.(dep) <- pend;
-        if pend = 0 then begin
-          estaged.(0) <- a.a_ready.(dep);
-          Events.add_staged events dep
-        end
-      done
-    end
-  in
+  a.a_fair <- (match policy with `Fair -> true | `Stream_priority -> false);
+  a.a_rec <- recorder;
+  a.a_faults <- faults;
+  a.a_tel <- telemetry;
+  if faulted then Array.fill faults.attempts 0 n 0;
   let srcs = p.p_sources in
   for i = 0 to Array.length srcs - 1 do
     let id = srcs.(i) in
-    estaged.(0) <- a.a_ready.(id);
-    Events.add_staged events id
+    a.a_staged.(0) <- a.a_ready.(id);
+    Events.add_staged a.a_events id
   done;
-  let rec drain () =
-    if not (Events.is_empty events) then begin
-      let v = Events.pop_staged events in
-      if v >= 0 then begin
-        (* Ready op. *)
-        let id = v in
-        let r = p.p_res_of.(id) in
-        if r < 0 then start_op id
-        else if a.a_lanes.(r) > 0 then start_op id
-        else begin
-          (* Per-resource waiting sets keyed by the scheduling policy. *)
-          let w = a.a_wait.(r) in
-          (Waitq.staged w).(0) <- (if fair then estaged.(0) else 0.);
-          Waitq.add_staged w p.p_stream.(id) id
-        end
-      end
-      else begin
-        (* Lane freed on resource (-1 - v). *)
-        let r = -1 - v in
-        a.a_lanes.(r) <- a.a_lanes.(r) + 1;
-        let w = a.a_wait.(r) in
-        (* [pop_staged] on the waitq leaves [estaged.(0)] untouched, so
-           the event time is still in place for [start_op]. *)
-        if not (Waitq.is_empty w) then start_op (Waitq.pop_staged w)
-      end;
-      drain ()
-    end
-  in
-  drain ();
+  (* A raise from inside the loop ([Unrecoverable]) must still release
+     the arena, or every later run on it would be refused. *)
+  (match drain p a with
+  | () -> ()
+  | exception e ->
+      Atomic.set a.a_in_use false;
+      raise e);
   (* Every op must have run; a cycle would leave NaNs (impossible by
      construction, but guard against programmer error). *)
   for i = 0 to n - 1 do
@@ -546,14 +657,16 @@ let run_prepared ?(policy = `Fair) ?(telemetry = Telemetry.disabled) ?arena:a
       invalid_arg (Printf.sprintf "Engine.run: op %d never became ready" i)
     end
   done;
-  (* Busy totals are a constant of the schedule (every op runs exactly
-     once), so they are summed here in op-id order rather than in
+  (* Healthy busy totals are a constant of the schedule (every op runs
+     exactly once), so they are summed here in op-id order rather than in
      dispatch order: the float sum is then independent of heap pop order
-     and bit-identical between fused and unfused replays. *)
-  for id = 0 to n - 1 do
-    let r = p.p_res_of.(id) in
-    if r >= 0 then a.a_busy.(r) <- a.a_busy.(r) +. p.p_occ.(id)
-  done;
+     and bit-identical between fused and unfused replays. Faulted runs
+     added theirs at dispatch, failed attempts included. *)
+  if not faulted then
+    for id = 0 to n - 1 do
+      let r = p.p_res_of.(id) in
+      if r >= 0 then a.a_busy.(r) <- a.a_busy.(r) +. p.p_occ.(id)
+    done;
   let makespan = a.a_mk.(0) in
   if Telemetry.enabled telemetry then begin
     Telemetry.incr telemetry "engine.runs";

@@ -97,6 +97,38 @@ val fused_members : prepared -> int -> int list
 (** [fused_members p head] lists a chain's member op ids in dispatch
     order ([[id]] if [id] heads no chain). *)
 
+(** {2 Faulted runs}
+
+    A fault table is the input of a faulted run: per-resource fault state
+    plus the retry policy. {!Fault.run} builds it from injected events
+    and is the intended producer; its documentation gives the fault
+    model. *)
+
+exception
+  Unrecoverable of { op : int; resource : int; attempts : int }
+    (** An op exhausted its retry budget in a faulted run; the resource is
+        effectively lost and the caller must replan around it. *)
+
+type faults = {
+  fail_at : float array;
+      (** per resource: time it stops serving ([infinity] = never) *)
+  flaky : (float * float) list array;
+      (** per resource: [\[from_s, until_s)] windows in which starting
+          attempts fail, sorted by start *)
+  degr_t : float array array;
+      (** per resource: ascending times at which its rate changes *)
+  degr_m : float array array;
+      (** per resource: cumulative rate multiplier in force from
+          [degr_t.(r).(i)] on *)
+  timeout_s : float;  (** stall time before a failed attempt is detected *)
+  backoff_s : float;  (** re-attempt k is issued [backoff_s *. 2. ** k]
+                          after detection *)
+  max_attempts : int;  (** total attempts per op, including the first *)
+  attempts : int array;
+      (** per op: failed attempts. Reset at the start of each run and
+          written by it, so it holds the run's counts afterwards. *)
+}
+
 type arena
 (** The engine's mutable working set (start/finish/busy/pending/ready
     arrays, event and waiting heaps), reset in place by each
@@ -114,6 +146,7 @@ val run_prepared :
   ?telemetry:Blink_telemetry.Telemetry.t ->
   ?arena:arena ->
   ?recorder:Recorder.t ->
+  ?faults:faults ->
   prepared ->
   result
 (** Execute a prepared schedule. The result's [start]/[finish]/[busy]
@@ -123,7 +156,21 @@ val run_prepared :
     arena is used (each domain has its own, so concurrent planners don't
     race; successive runs on one domain overwrite each other's results).
     Raises [Invalid_argument] — without touching the arena — when the
-    arena is already mid-run in this or another domain (see {!arena}).
+    arena is already mid-run in this or another domain (see {!arena}),
+    or when [faults] was built for a different shape of schedule.
+
+    [faults] (default: none) makes the run a faulted one, through the
+    same event loop. Each attempt's service is stretched by the
+    resource's rate multiplier, and an attempt that fails holds its lane
+    until it is detected, then re-enters the ready queue after its
+    backoff. Faulted runs dispatch one op per event even on a fused
+    schedule (fusion is exact only at nominal rates), [start]/[finish]
+    are those of each op's successful attempt, and [busy] is summed at
+    dispatch, failed attempts included. Counts ["engine.retries"] per
+    re-issued attempt and, when [recorder] is on, writes a retry event
+    per failed attempt. Raises {!Unrecoverable} when an op exhausts
+    [max_attempts]; the arena is released either way. Without faults a
+    run pays a single branch per op for this.
 
     Telemetry matches {!run}: counts ["engine.runs"]/["engine.ops_executed"],
     observes ["engine.makespan_s"], and when tracing records the

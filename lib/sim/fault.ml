@@ -15,42 +15,19 @@ type outcome = {
   faulted_ops : int;
 }
 
-exception Unrecoverable of { op : int; resource : int; attempts : int }
+exception Unrecoverable = Engine.Unrecoverable
 
-let resource_of_op (o : Program.op) =
-  match o.kind with
-  | Program.Transfer { link; _ } -> Some link
-  | Program.Compute { engine; _ } -> Some engine
-  | Program.Delay _ -> None
-
-let data_time (resources : Engine.resource array) (o : Program.op) =
-  match o.kind with
-  | Program.Transfer { bytes; link; bw_scale; _ } ->
-      let r = resources.(link) in
-      bytes /. (r.Engine.bandwidth *. bw_scale)
-  | Program.Compute { bytes; engine; _ } ->
-      let r = resources.(engine) in
-      bytes /. r.Engine.bandwidth
-  | Program.Delay { seconds } -> seconds
-
-(* Per-resource fault state, folded once from the event list: first death
-   time, flaky windows, and a piecewise-constant rate multiplier (event
-   times paired with the cumulative factor in force from that time on). *)
-type res_faults = {
-  fail_at : float;
-  flaky : (float * float) list;  (* sorted by window start *)
-  degr_t : float array;  (* ascending event times *)
-  degr_m : float array;  (* cumulative multiplier from degr_t.(i) on *)
-}
-
-let healthy = { fail_at = infinity; flaky = []; degr_t = [||]; degr_m = [||] }
-
-let fold_events ~n_res events =
-  let faults = Array.make n_res healthy in
+(* Fold the event list into the engine's per-resource fault table: first
+   death time, sorted flaky windows, and a piecewise-constant rate
+   multiplier (event times paired with the cumulative factor in force
+   from that time on). *)
+let fault_table ~retry ~n_ops ~n_res events =
   let check_res r =
     if r < 0 || r >= n_res then
       invalid_arg (Printf.sprintf "Fault.run: event on unknown resource %d" r)
   in
+  let fail_at = Array.make n_res infinity in
+  let flaky = Array.make n_res [] in
   let degrades = Array.make n_res [] in
   List.iter
     (fun ev ->
@@ -64,222 +41,66 @@ let fold_events ~n_res events =
       | Fail { res; at } ->
           check_res res;
           if at < 0. then invalid_arg "Fault.run: negative event time";
-          let f = faults.(res) in
-          faults.(res) <- { f with fail_at = Float.min f.fail_at at }
+          fail_at.(res) <- Float.min fail_at.(res) at
       | Flaky { res; from_s; until_s } ->
           check_res res;
           if from_s < 0. || until_s <= from_s then
             invalid_arg "Fault.run: empty flaky window";
-          let f = faults.(res) in
-          faults.(res) <- { f with flaky = (from_s, until_s) :: f.flaky })
+          flaky.(res) <- (from_s, until_s) :: flaky.(res))
     events;
-  Array.iteri
-    (fun r f -> faults.(r) <- { f with flaky = List.sort compare f.flaky })
-    faults;
-  Array.iteri
-    (fun r ds ->
-      if ds <> [] then begin
-        let ds = List.sort compare ds in
-        let times = Array.of_list (List.map fst ds) in
-        let mult = Array.make (Array.length times) 1. in
+  let degrades = Array.map (List.sort compare) degrades in
+  let degr_m =
+    Array.map
+      (fun ds ->
         let m = ref 1. in
-        List.iteri
-          (fun i (_, factor) ->
-            m := !m *. factor;
-            mult.(i) <- !m)
-          ds;
-        faults.(r) <- { faults.(r) with degr_t = times; degr_m = mult }
-      end)
-    degrades;
-  faults
+        Array.of_list
+          (List.map
+             (fun (_, factor) ->
+               m := !m *. factor;
+               !m)
+             ds))
+      degrades
+  in
+  {
+    Engine.fail_at;
+    flaky = Array.map (List.sort compare) flaky;
+    degr_t = Array.map (fun ds -> Array.of_list (List.map fst ds)) degrades;
+    degr_m;
+    timeout_s = retry.timeout_s;
+    backoff_s = retry.backoff_s;
+    max_attempts = retry.max_attempts;
+    attempts = Array.make n_ops 0;
+  }
 
-let is_flaky f t = List.exists (fun (from_s, until_s) -> t >= from_s && t < until_s) f.flaky
-
-(* Absolute finish time of [work] seconds of nominal-rate service starting
-   at [t0], integrating the piecewise-constant rate multiplier. With no
-   degradations this is exactly [t0 +. work] (the engine's arithmetic). *)
-let service_finish f t0 work =
-  let n = Array.length f.degr_t in
-  if n = 0 then t0 +. work
-  else begin
-    (* Multiplier already in force at t0. *)
-    let i0 = ref 0 in
-    while !i0 < n && f.degr_t.(!i0) <= t0 do incr i0 done;
-    let rec go t w m i =
-      if w <= 0. then t
-      else if i >= n then t +. (w /. m)
-      else begin
-        let span = f.degr_t.(i) -. t in
-        let done_ = span *. m in
-        if w <= done_ then t +. (w /. m)
-        else go f.degr_t.(i) (w -. done_) f.degr_m.(i) (i + 1)
-      end
-    in
-    let m0 = if !i0 = 0 then 1. else f.degr_m.(!i0 - 1) in
-    go t0 work m0 !i0
-  end
-
-type ev = Ready of int | Lane_free of int
-
-let run ?(policy = `Fair) ?(telemetry = Telemetry.disabled) ?(retry = default_retry)
+let run ?policy ?(telemetry = Telemetry.disabled) ?(retry = default_retry)
     ?(events = []) ?(recorder = Recorder.none) ~resources prog =
   if retry.timeout_s < 0. || retry.backoff_s < 0. || retry.max_attempts < 1 then
     invalid_arg "Fault.run: bad retry policy";
-  Array.iteri
-    (fun i (r : Engine.resource) ->
-      if r.lanes <= 0 || r.latency < 0. || r.bandwidth <= 0. || r.gap < 0. then
-        invalid_arg (Printf.sprintf "Engine.run: bad resource %d" i))
-    resources;
-  let n = Program.n_ops prog in
-  let n_res = Array.length resources in
-  Program.iter_ops
-    (fun o ->
-      match resource_of_op o with
-      | Some r when r < 0 || r >= n_res ->
-          invalid_arg
-            (Printf.sprintf "Engine.run: op %d uses unknown resource %d"
-               o.Program.id r)
-      | Some _ | None -> ())
-    prog;
-  let faults = fold_events ~n_res events in
+  let p = Engine.prepare ~telemetry ~resources prog in
+  (* No events is a healthy run: bit for bit [Engine.run]. *)
+  let faults =
+    if events = [] then None
+    else
+      Some
+        (fault_table ~retry ~n_ops:(Engine.prepared_ops p)
+           ~n_res:(Array.length resources) events)
+  in
   Telemetry.incr telemetry ~by:(List.length events) "fault.injected";
-  let res_of = Array.make n (-1) in
-  let dur = Array.make n 0. in
-  let lat = Array.make n 0. in
-  let stream = Array.make n 0 in
-  let pending = Array.make n 0 in
-  let dependents = Array.make n [] in
-  (* Dependents are consumed head-first below, matching the packed-edge
-     order of [Engine.prepare] (latest-added first, stream edges ahead of
-     data edges) so the no-event run replays the engine's exact event
-     sequence. *)
-  Program.iter_ops
-    (fun o ->
-      let id = o.Program.id in
-      dur.(id) <- data_time resources o;
-      stream.(id) <- o.Program.stream;
-      (match resource_of_op o with
-      | Some r ->
-          res_of.(id) <- r;
-          lat.(id) <- resources.(r).Engine.latency
-      | None -> ());
-      List.iter
-        (fun dep ->
-          pending.(id) <- pending.(id) + 1;
-          dependents.(dep) <- (id, false) :: dependents.(dep))
-        o.Program.deps)
-    prog;
-  Program.iter_stream_edges
-    (fun ~pred ~succ ->
-      pending.(succ) <- pending.(succ) + 1;
-      dependents.(pred) <- (succ, true) :: dependents.(pred))
-    prog;
-  let start = Array.make n nan in
-  let finish = Array.make n nan in
-  let ready = Array.init n (fun id -> lat.(id)) in
-  let busy = Array.make n_res 0. in
-  let lanes = Array.map (fun (r : Engine.resource) -> r.Engine.lanes) resources in
-  let attempts = Array.make n 0 in
-  let faulted = Array.make n false in
-  let retries = ref 0 in
-  let mk = ref 0. in
-  let events_q : ev Pqueue.Float_key.t = Pqueue.Float_key.create () in
-  let waits = Array.init n_res (fun _ -> Pqueue.create ()) in
-  let fair = match policy with `Fair -> true | `Stream_priority -> false in
-  let rec_on = recorder != Recorder.none in
-  let finish_op id t fin =
-    if rec_on then begin
-      Recorder.record recorder Recorder.Begin ~op:id ~res:res_of.(id) ~time:t;
-      Recorder.record recorder Recorder.End ~op:id ~res:res_of.(id) ~time:fin
-    end;
-    start.(id) <- t;
-    finish.(id) <- fin;
-    if fin > !mk then mk := fin;
-    List.iter
-      (fun (dep, is_stream) ->
-        let candidate = if is_stream then fin else fin +. lat.(dep) in
-        if candidate > ready.(dep) then ready.(dep) <- candidate;
-        pending.(dep) <- pending.(dep) - 1;
-        if pending.(dep) = 0 then
-          Pqueue.Float_key.add events_q ready.(dep) (Ready dep))
-      dependents.(id)
+  let timing =
+    Engine.run_prepared ?policy ~telemetry ~arena:(Engine.arena ()) ~recorder
+      ?faults p
   in
-  (* Dispatch an attempt at time [t] on a free lane (or no resource). The
-     outcome is decided here: all fault times are known up front. *)
-  let start_op id t =
-    let r = res_of.(id) in
-    if r < 0 then finish_op id t (t +. dur.(id))
-    else begin
-      let f = faults.(r) in
-      let gap = resources.(r).Engine.gap in
-      let failure =
-        if t >= f.fail_at then Some (t +. retry.timeout_s)
-        else if is_flaky f t then Some (t +. retry.timeout_s)
-        else begin
-          let fin = service_finish f t dur.(id) in
-          if fin > f.fail_at then Some (f.fail_at +. retry.timeout_s)
-          else None
-        end
-      in
-      match failure with
-      | None ->
-          let fin = service_finish f t dur.(id) in
-          let occupancy = Float.max (fin -. t) gap in
-          busy.(r) <- busy.(r) +. occupancy;
-          lanes.(r) <- lanes.(r) - 1;
-          Pqueue.Float_key.add events_q (t +. occupancy) (Lane_free r);
-          finish_op id t fin
-      | Some detected ->
-          faulted.(id) <- true;
-          attempts.(id) <- attempts.(id) + 1;
-          if attempts.(id) >= retry.max_attempts then
-            raise (Unrecoverable { op = id; resource = r; attempts = attempts.(id) });
-          let occupancy = Float.max (detected -. t) gap in
-          busy.(r) <- busy.(r) +. occupancy;
-          lanes.(r) <- lanes.(r) - 1;
-          Pqueue.Float_key.add events_q (t +. occupancy) (Lane_free r);
-          let backoff =
-            retry.backoff_s *. (2. ** Float.of_int (attempts.(id) - 1))
-          in
-          incr retries;
-          if rec_on then
-            Recorder.record recorder Recorder.Retry ~op:id ~res:r ~time:detected;
-          Telemetry.incr telemetry "engine.retries";
-          Pqueue.Float_key.add events_q (detected +. backoff) (Ready id)
-    end
+  let retries, faulted_ops =
+    match faults with
+    | None -> (0, 0)
+    | Some f ->
+        Array.fold_left
+          (fun (r, o) k -> (r + k, if k > 0 then o + 1 else o))
+          (0, 0) f.Engine.attempts
   in
-  for id = 0 to n - 1 do
-    if pending.(id) = 0 then Pqueue.Float_key.add events_q ready.(id) (Ready id)
-  done;
-  let rec drain () =
-    match Pqueue.Float_key.pop events_q with
-    | None -> ()
-    | Some (t, Ready id) ->
-        let r = res_of.(id) in
-        if r < 0 || lanes.(r) > 0 then start_op id t
-        else
-          Pqueue.add waits.(r) ((if fair then t else 0.), stream.(id), id) ();
-        drain ()
-    | Some (t, Lane_free r) ->
-        lanes.(r) <- lanes.(r) + 1;
-        (match Pqueue.pop waits.(r) with
-        | Some ((_, _, id), ()) -> start_op id t
-        | None -> ());
-        drain ()
-  in
-  drain ();
-  for i = 0 to n - 1 do
-    if Float.is_nan finish.(i) then
-      invalid_arg (Printf.sprintf "Engine.run: op %d never became ready" i)
-  done;
-  let faulted_ops = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 faulted in
   (* Automatic post-mortem: a faulted run dumps its flight-recorder window
      into the Chrome exporter so the retry storm is visible next to the
      planning spans without any caller action. *)
-  if rec_on && !retries > 0 && Telemetry.tracing telemetry then
-    ignore (Recorder.dump_slices recorder telemetry);
-  {
-    timing = { Engine.makespan = !mk; finish; start; busy };
-    retries = !retries;
-    faulted_ops;
-  }
+  if recorder != Recorder.none && retries > 0 && Telemetry.tracing telemetry
+  then ignore (Recorder.dump_slices recorder telemetry);
+  { timing; retries; faulted_ops }

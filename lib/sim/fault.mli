@@ -3,12 +3,13 @@
     bounded retry/backoff — the failure model behind the library's
     degraded-topology replanning.
 
-    This is a separate cold-path event loop, not a mode of
-    {!Engine.run_prepared}: the steady-state replay path stays
-    allocation-free and branch-free, while fault runs (diagnostics,
-    failover drills, benchmarks) pay for the bookkeeping they need. With
-    no events injected, {!run} reproduces [Engine.run ~policy] bit for
-    bit — the same event ordering, float arithmetic and tie-breaking.
+    [Fault] is the fault model; the simulation is the engine's own event
+    loop. {!run} validates the events, folds them into a per-resource
+    {!Engine.faults} table and replays the program through
+    {!Engine.run_prepared} with it, so faulted runs get the prepared
+    schedule, the arena heaps and the CSR dependents like healthy ones.
+    With no events injected, {!run} {e is} a healthy run and reproduces
+    [Engine.run ~policy] bit for bit.
 
     All faults are known when the run starts (they carry their injection
     times), so every service attempt's outcome is decided
@@ -64,7 +65,8 @@ type outcome = {
 exception
   Unrecoverable of { op : int; resource : int; attempts : int }
     (** An op exhausted its retry budget; the resource is effectively
-        lost and the caller must replan around it. *)
+        lost and the caller must replan around it. The same exception as
+        {!Engine.Unrecoverable}. *)
 
 val run :
   ?policy:Engine.policy ->

@@ -1,51 +1,13 @@
-(** Minimal binary min-heap priority queues.
-
-    Keys compare ascending; insertion order breaks ties (earlier
-    insertions pop first), which keeps the simulator deterministic.
-
-    The polymorphic flavour compares keys structurally and suits tests
-    and cold paths. {!Make} builds a heap over a monomorphic comparator —
-    [less] becomes a direct call instead of the polymorphic-compare
-    C call; {!Float_key} is the pre-built instance for float keys (event
-    times). All flavours order identical non-NaN keys identically.
+(** Binary min-heaps for the engine's event loop.
 
     {!Float_int} and {!Float_int_int} are the arena heaps behind
     [Engine.run_prepared]: keys and values live in parallel unboxed
     arrays, [clear] resets them in place, and the staged add/pop protocol
     passes float keys through a one-slot buffer so steady-state event
     processing allocates nothing (uniform OCaml calls would box every
-    float argument and result). Pop order is identical to the entry-based
-    heaps: key ascending, insertion order breaking ties. *)
-
-module type ORDERED = sig
-  type t
-
-  val compare : t -> t -> int
-end
-
-module Make (K : ORDERED) : sig
-  type 'v t
-
-  val create : unit -> 'v t
-  val add : 'v t -> K.t -> 'v -> unit
-  val pop : 'v t -> (K.t * 'v) option
-  val peek : 'v t -> (K.t * 'v) option
-  val is_empty : 'v t -> bool
-  val length : 'v t -> int
-end
-
-module Float_key : sig
-  type 'v t
-
-  val create : unit -> 'v t
-  val add : 'v t -> float -> 'v -> unit
-  val pop : 'v t -> (float * 'v) option
-  val peek : 'v t -> (float * 'v) option
-  val is_empty : 'v t -> bool
-  val length : 'v t -> int
-end
-
-(** {2 Arena heaps (zero-allocation steady state)} *)
+    float argument and result). Keys pop ascending; insertion order
+    breaks ties (earlier insertions pop first), which keeps the simulator
+    deterministic. *)
 
 module Float_int : sig
   type t
@@ -104,14 +66,3 @@ module Float_int_int : sig
   val add : t -> float -> int -> int -> unit
   val pop : t -> (float * int * int) option
 end
-
-(** {2 Polymorphic heap} *)
-
-type ('k, 'v) t
-
-val create : unit -> ('k, 'v) t
-val add : ('k, 'v) t -> 'k -> 'v -> unit
-val pop : ('k, 'v) t -> ('k * 'v) option
-val peek : ('k, 'v) t -> ('k * 'v) option
-val is_empty : ('k, 'v) t -> bool
-val length : ('k, 'v) t -> int

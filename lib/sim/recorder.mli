@@ -55,8 +55,8 @@ type kind = Begin | End | Retry
 type event = { kind : kind; op : int; res : int; time : float }
 
 val record : t -> kind -> op:int -> res:int -> time:float -> unit
-(** Append one event (cold-path convenience for {!Fault}; the engine
-    inlines its stores instead). *)
+(** Append one event (cold-path convenience: the engine writes retry
+    events through it and inlines its begin/end stores). *)
 
 val events : t -> event list
 (** Surviving events, oldest first. Begin/end pairs are written together

@@ -17,9 +17,8 @@
 
 type slab = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* C kernels (semantics_stubs.c): the copy, the in-place reduce, the
-   fused copy+reduce, and the float64 -> float32 write conversion are
-   conversion-bound through the Bigarray accessors (each element
+(* C kernels (semantics_stubs.c): the copy, the in-place reduce and the
+   float64 -> float32 write conversion are conversion-bound through the Bigarray accessors (each element
    round-trips through double), so the hot loops live in C where they
    stay in single precision, restrict-qualified and unrolled wide. *)
 external f32_reduce : slab -> int -> slab -> int -> int -> unit
@@ -30,31 +29,21 @@ external f32_copy : slab -> int -> slab -> int -> int -> unit
   = "blink_f32_copy"
 [@@noalloc]
 
-(* [f32_copy_add mid moff acc aoff src soff len]: mid = src and
-   acc += src in one pass — the data-path twin of a fused
-   transfer-then-reduce chunk chain. *)
-external f32_copy_add :
-  slab -> int -> slab -> int -> slab -> int -> int -> unit
-  = "blink_f32_copy_add_bytecode" "blink_f32_copy_add_native"
-[@@noalloc]
-
 external f32_of_f64 : slab -> int -> float array -> int -> unit
   = "blink_f32_of_f64"
 [@@noalloc]
 
 type kernels = {
   k_prog : Program.t;  (* program these kernels were compiled from *)
-  k_kind : int array;  (* 0 = copy, 1 = reduce, 2 = fused copy+reduce *)
+  k_kind : int array;  (* 0 = copy, 1 = reduce *)
   k_src : slab array;
   k_soff : int array;
-  k_dst : slab array;  (* kind 2: the accumulator (reduce destination) *)
+  k_dst : slab array;
   k_doff : int array;
-  k_aux : slab array;  (* kind 2: the receive (mid) buffer; else unused *)
-  k_aoff : int array;
   k_len : int array;
   k_raw : int;
-      (* kernel count before copy+reduce pairing and contiguity batching:
-         one per op action, what exec would have dispatched unbatched *)
+      (* kernel count before contiguity batching: one per op action, what
+         exec would have dispatched unbatched *)
   (* Slab segments whose initial contents can influence a replay — read
      before the kernels wrote them, or not written by any kernel at all
      (so a user [read] would see them). Only these need zeroing between
@@ -211,7 +200,7 @@ let rec uncovered ivs off stop =
    order computes the same data (the Ref-equivalence tests replay the
    plain id order against this one); this particular order lays each
    stream's pipelined chunk run out back-to-back, which is exactly the
-   shape the copy+reduce pairing and contiguity batching below compress. *)
+   shape the contiguity batching below compresses. *)
 let chain_order prog =
   let n = Program.n_ops prog in
   let indeg = Array.make n 0 in
@@ -357,77 +346,34 @@ let compile mem prog =
      contiguously per buffer), so offset arithmetic within one slab plus
      physical slab identity decides it. *)
   let disjoint x xo y yo len = x != y || xo + len <= yo || yo + len <= xo in
-  (* Stage 1 — copy+reduce pairing: a chunk copied into its receive
-     buffer and immediately reduced into an accumulator becomes one
-     fused copy+reduce kernel (mid = src; acc += src), eliding the
-     re-read of the receive buffer. Exact only when nothing aliases:
-     with any overlap among src/mid/acc the two-pass order could differ,
-     so aliased pairs are left alone. Entries become
-     (kind, src, soff, dst, doff, aux, aoff, len) with dst = acc and
-     aux = mid for kind 2; aux is a don't-care placeholder otherwise. *)
-  let rec pair_fuse = function
-    | (0, s, so, m, moff, len) :: (1, m2, so2, a, aoff, len2) :: rest
-      when m == m2 && so2 = moff && len2 = len
-           && disjoint m moff s so len
-           && disjoint a aoff s so len
-           && disjoint a aoff m moff len ->
-        (2, s, so, a, aoff, m, moff, len) :: pair_fuse rest
-    | (k, s, so, d, doff, len) :: rest ->
-        (k, s, so, d, doff, d, 0, len) :: pair_fuse rest
-    | [] -> []
-  in
-  (* Stage 2 — contiguity batching: back-to-back kernels of one kind over
-     adjacent slab ranges collapse into a single wide call. Pipelined
-     chunk chains produce exactly this shape. Reduces and fused
-     copy+reduces batch unconditionally — the merged forward loop
-     performs the identical element-by-element sequence as the
-     concatenated loops (the C stubs fall back to strict forward order
-     whenever ranges alias). A merged copy is one memmove, which is NOT
-     sequential when an earlier destination overlaps a later source, so
-     same-slab copies only merge when the combined ranges stay disjoint. *)
+  (* Contiguity batching: back-to-back kernels of one kind over adjacent
+     slab ranges collapse into a single wide call. Pipelined chunk chains
+     produce exactly this shape. Reduces batch unconditionally — the
+     merged forward loop performs the identical element-by-element
+     sequence as the concatenated loops (the C stub falls back to strict
+     forward order whenever ranges alias). A merged copy is one memmove,
+     which is NOT sequential when an earlier destination overlaps a later
+     source, so same-slab copies only merge when the combined ranges stay
+     disjoint. *)
   let rec batch = function
-    | (k1, s1, so1, d1, do1, x1, xo1, l1)
-      :: (k2, s2, so2, d2, do2, x2, xo2, l2)
-      :: rest
+    | (k1, s1, so1, d1, do1, l1) :: (k2, s2, so2, d2, do2, l2) :: rest
       when k1 = k2 && s1 == s2 && d1 == d2
            && so2 = so1 + l1
            && do2 = do1 + l1
-           && (k1 <> 2 || (x1 == x2 && xo2 = xo1 + l1))
            && (k1 <> 0 || disjoint s1 so1 d1 do1 (l1 + l2)) ->
-        batch ((k1, s1, so1, d1, do1, x1, xo1, l1 + l2) :: rest)
+        batch ((k1, s1, so1, d1, do1, l1 + l2) :: rest)
     | e :: rest -> e :: batch rest
     | [] -> []
   in
-  (* Pairing opportunities appear at two granularities: raw chunk pairs
-     (copy chunk_i; reduce chunk_i) and whole batched runs (one wide
-     copy of a chain's receive range followed by one wide reduce of it —
-     the shape chain-following kernel order produces). So pair, batch,
-     then pair the batched runs and batch once more to let fused entries
-     merge with their own neighbors. *)
-  let rec pair_fuse_batched = function
-    | (0, s, so, m, moff, _, _, len) :: (1, m2, so2, a, aoff, _, _, len2)
-      :: rest
-      when m == m2 && so2 = moff && len2 = len
-           && disjoint m moff s so len
-           && disjoint a aoff s so len
-           && disjoint a aoff m moff len ->
-        (2, s, so, a, aoff, m, moff, len) :: pair_fuse_batched rest
-    | e :: rest -> e :: pair_fuse_batched rest
-    | [] -> []
-  in
-  let ks =
-    Array.of_list (batch (pair_fuse_batched (batch (pair_fuse raw))))
-  in
+  let ks = Array.of_list (batch raw) in
   {
     k_prog = prog;
-    k_kind = Array.map (fun (k, _, _, _, _, _, _, _) -> k) ks;
-    k_src = Array.map (fun (_, s, _, _, _, _, _, _) -> s) ks;
-    k_soff = Array.map (fun (_, _, so, _, _, _, _, _) -> so) ks;
-    k_dst = Array.map (fun (_, _, _, d, _, _, _, _) -> d) ks;
-    k_doff = Array.map (fun (_, _, _, _, doff, _, _, _) -> doff) ks;
-    k_aux = Array.map (fun (_, _, _, _, _, x, _, _) -> x) ks;
-    k_aoff = Array.map (fun (_, _, _, _, _, _, xo, _) -> xo) ks;
-    k_len = Array.map (fun (_, _, _, _, _, _, _, len) -> len) ks;
+    k_kind = Array.map (fun (k, _, _, _, _, _) -> k) ks;
+    k_src = Array.map (fun (_, s, _, _, _, _) -> s) ks;
+    k_soff = Array.map (fun (_, _, so, _, _, _) -> so) ks;
+    k_dst = Array.map (fun (_, _, _, d, _, _) -> d) ks;
+    k_doff = Array.map (fun (_, _, _, _, doff, _) -> doff) ks;
+    k_len = Array.map (fun (_, _, _, _, _, len) -> len) ks;
     k_raw = n_raw;
     k_zero_nodes = Array.map (fun (node, _, _, _, _) -> node) zeros;
     k_zero_bufs = Array.map (fun (_, buf, _, _, _) -> buf) zeros;
@@ -446,10 +392,8 @@ let exec k =
     let len = k.k_len.(i) in
     let s = k.k_src.(i) and d = k.k_dst.(i) in
     let so = k.k_soff.(i) and doff = k.k_doff.(i) in
-    match k.k_kind.(i) with
-    | 0 -> f32_copy d doff s so len
-    | 1 -> f32_reduce d doff s so len
-    | _ -> f32_copy_add k.k_aux.(i) k.k_aoff.(i) d doff s so len
+    if k.k_kind.(i) = 0 then f32_copy d doff s so len
+    else f32_reduce d doff s so len
   done
 
 let ensure_kernels mem prog =
@@ -462,20 +406,19 @@ let ensure_kernels mem prog =
 
 let run prog mem = exec (ensure_kernels mem prog)
 
-(* (raw, compiled, fused copy+reduce entries): how far pairing and
-   contiguity batching compressed the kernel table. *)
+(* (raw, compiled, compiled reduce entries): how far contiguity batching
+   compressed the kernel table. *)
 let kernel_stats mem prog =
   let k = ensure_kernels mem prog in
-  let fused =
-    Array.fold_left (fun n kind -> if kind = 2 then n + 1 else n) 0 k.k_kind
+  let reduces =
+    Array.fold_left (fun n kind -> if kind = 1 then n + 1 else n) 0 k.k_kind
   in
-  (k.k_raw, Array.length k.k_kind, fused)
+  (k.k_raw, Array.length k.k_kind, reduces)
 
 (* Raw kernel entry points for the [bench kernels] microbench. *)
 module Kernels = struct
   let copy = f32_copy
   let reduce = f32_reduce
-  let copy_add = f32_copy_add
   let of_f64 = f32_of_f64
 end
 

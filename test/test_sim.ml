@@ -3,41 +3,12 @@ module P = Blink_sim.Program
 module E = Blink_sim.Engine
 module Sem = Blink_sim.Semantics
 module Fault = Blink_sim.Fault
+module Blink = Blink_core.Blink
+module Plan = Blink_core.Plan
+module Server = Blink_topology.Server
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_time = Alcotest.(check (float 1e-7))
-
-(* ------------------------------------------------------------------ *)
-(* Pqueue *)
-
-let test_pqueue_order () =
-  let q = Pq.create () in
-  List.iter (fun k -> Pq.add q k k) [ 5; 1; 4; 1; 3 ];
-  Alcotest.(check int) "length" 5 (Pq.length q);
-  let drained = List.init 5 (fun _ -> fst (Option.get (Pq.pop q))) in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] drained;
-  Alcotest.(check bool) "empty" true (Pq.is_empty q)
-
-let test_pqueue_fifo_ties () =
-  let q = Pq.create () in
-  Pq.add q 1. "first";
-  Pq.add q 1. "second";
-  Pq.add q 0. "zero";
-  Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (0., "zero")) (Pq.peek q);
-  ignore (Pq.pop q);
-  Alcotest.(check string) "tie insertion order" "first" (snd (Option.get (Pq.pop q)));
-  Alcotest.(check string) "then second" "second" (snd (Option.get (Pq.pop q)))
-
-let prop_pqueue_sorts =
-  QCheck.Test.make ~name:"pqueue drains sorted" ~count:100
-    QCheck.(list (int_bound 1000))
-    (fun keys ->
-      let q = Pq.create () in
-      List.iter (fun k -> Pq.add q k ()) keys;
-      let rec drain acc =
-        match Pq.pop q with None -> List.rev acc | Some (k, ()) -> drain (k :: acc)
-      in
-      drain [] = List.sort compare keys)
 
 (* ------------------------------------------------------------------ *)
 (* Program *)
@@ -324,25 +295,20 @@ let test_arena_waitq_order () =
   Alcotest.(check (list int)) "lexicographic" [ 3; 9; 8; 7 ] drained;
   Alcotest.(check int) "empty" min_int (Pq.Float_int_int.pop_staged q)
 
-let prop_arena_heap_matches_float_key =
-  QCheck.Test.make ~name:"arena heap drains like Float_key" ~count:200
-    QCheck.(list (pair (int_bound 50) small_nat))
-    (fun pairs ->
-      let a = Pq.Float_int.create () in
-      let b = Pq.Float_key.create () in
-      List.iteri
-        (fun i (k, _) ->
-          let key = Float.of_int k /. 7. in
-          Pq.Float_int.add a key i;
-          Pq.Float_key.add b key i)
-        pairs;
+(* Oracle: a stable sort by key, so equal keys keep insertion order. *)
+let prop_arena_heap_matches_stable_sort =
+  QCheck.Test.make ~name:"arena heap drains like stable sort" ~count:200
+    QCheck.(list (int_bound 50))
+    (fun keys ->
+      let q = Pq.Float_int.create () in
+      let entries = List.mapi (fun i k -> (Float.of_int k /. 7., i)) keys in
+      List.iter (fun (key, i) -> Pq.Float_int.add q key i) entries;
       let rec drain acc =
-        match (Pq.Float_int.pop a, Pq.Float_key.pop b) with
-        | None, None -> true
-        | Some x, Some y -> x = y && drain acc
-        | _ -> false
+        match Pq.Float_int.pop q with
+        | None -> List.rev acc
+        | Some e -> drain (e :: acc)
       in
-      drain ())
+      drain [] = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) entries)
 
 (* ------------------------------------------------------------------ *)
 (* Prepared schedules / arenas *)
@@ -433,6 +399,33 @@ let test_prepared_validation () =
        false
      with Invalid_argument _ -> true)
 
+let test_arena_released_after_raise () =
+  (* A run that raises [Unrecoverable] from inside the event loop must
+     still release its arena: the next run on it has to succeed. *)
+  let p = P.create () in
+  let s = P.fresh_stream p in
+  ignore (P.add p ~stream:s (transfer ~bytes:1e9 0));
+  let prepared = E.prepare ~resources:(one_link ()) p in
+  let arena = E.arena () in
+  let faults =
+    {
+      E.fail_at = [| 0. |];
+      flaky = [| [] |];
+      degr_t = [| [||] |];
+      degr_m = [| [||] |];
+      timeout_s = 0.01;
+      backoff_s = 0.01;
+      max_attempts = 2;
+      attempts = [| 0 |];
+    }
+  in
+  (match E.run_prepared ~arena ~faults prepared with
+  | _ -> Alcotest.fail "dead link should exhaust retries"
+  | exception E.Unrecoverable { attempts; _ } ->
+      Alcotest.(check int) "attempts" 2 attempts);
+  let r = E.run_prepared ~arena prepared in
+  check_time "healthy run on the same arena" 1. r.E.makespan
+
 (* ------------------------------------------------------------------ *)
 (* Bigarray semantics vs the float-array reference *)
 
@@ -520,19 +513,94 @@ let fault_fixture () =
   in
   (p, resources)
 
+(* The six collectives planned on a full 8-GPU DGX-1V at 4 M elements,
+   as (name, resources, program): real schedules, three of them with
+   fused chains (broadcast, reduce, gather). Planned once per process. *)
+let dgx_plans =
+  lazy
+    (let h = Blink.create Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
+     List.map
+       (fun c ->
+         let plan = Blink.plan h c ~elems:4_194_304 in
+         (Plan.collective_name c, plan.Plan.resources, plan.Plan.program))
+       Plan.[ All_reduce; Broadcast; Reduce; Gather; All_gather; Reduce_scatter ])
+
 let test_fault_no_events_matches_engine () =
   let p, resources = fault_fixture () in
+  let _, fused_res, fused =
+    List.find
+      (fun (_, resources, prog) ->
+        E.fused_chains (E.prepare ~resources prog) > 0)
+      (Lazy.force dgx_plans)
+  in
   List.iter
-    (fun policy ->
-      let want = E.run ~policy ~resources p in
-      let got = (Fault.run ~policy ~resources p).Fault.timing in
-      (* Bit-for-bit: same event ordering and float arithmetic, so exact
-         equality, not tolerance. *)
-      Alcotest.(check (float 0.)) "makespan" want.E.makespan got.E.makespan;
-      Alcotest.(check (array (float 0.))) "finish" want.E.finish got.E.finish;
-      Alcotest.(check (array (float 0.))) "start" want.E.start got.E.start;
-      Alcotest.(check (array (float 0.))) "busy" want.E.busy got.E.busy)
-    [ `Fair; `Stream_priority ]
+    (fun (resources, p) ->
+      List.iter
+        (fun policy ->
+          let want = E.run ~policy ~resources p in
+          let got = (Fault.run ~policy ~resources p).Fault.timing in
+          (* Bit-for-bit: same event ordering and float arithmetic, so
+             exact equality, not tolerance. *)
+          Alcotest.(check (float 0.)) "makespan" want.E.makespan got.E.makespan;
+          Alcotest.(check (array (float 0.))) "finish" want.E.finish got.E.finish;
+          Alcotest.(check (array (float 0.))) "start" want.E.start got.E.start;
+          Alcotest.(check (array (float 0.))) "busy" want.E.busy got.E.busy)
+        [ `Fair; `Stream_priority ])
+    [ (resources, p); (fused_res, fused) ]
+
+(* Faults that land at or after the healthy makespan cannot touch any
+   attempt, so the faulted branch (unfused, busy summed at dispatch) must
+   reproduce the healthy run: timing bit for bit, busy up to summation
+   order. Inputs: the mixed program and the six DGX-1V plans. *)
+let prop_fault_late_events_match_engine =
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound 6)
+        (list_size (int_range 1 5)
+           (quad (int_bound 2) nat
+              (oneof [ return 0.; float_bound_inclusive 1. ])
+              (float_range 0.01 1.))))
+  in
+  let print (which, evs) =
+    Printf.sprintf "program %d, events %s" which
+      (String.concat "; "
+         (List.map
+            (fun (k, r, u, v) -> Printf.sprintf "(%d, %d, %h, %h)" k r u v)
+            evs))
+  in
+  QCheck.Test.make ~name:"late fault events match healthy run" ~count:40
+    (QCheck.make ~print gen)
+    (fun (which, evs) ->
+      let resources, prog =
+        if which = 0 then build_mixed_program ()
+        else
+          let _, resources, prog = List.nth (Lazy.force dgx_plans) (which - 1) in
+          (resources, prog)
+      in
+      let n_res = Array.length resources in
+      let close a b = Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) (Float.abs b) in
+      List.for_all
+        (fun policy ->
+          let want = E.run ~policy ~resources prog in
+          let mk = want.E.makespan in
+          let events =
+            List.map
+              (fun (kind, res, u, v) ->
+                let res = res mod n_res and at = mk *. (1. +. u) in
+                match kind with
+                | 0 -> Fault.Degrade { res; at; factor = v }
+                | 1 -> Fault.Fail { res; at }
+                | _ -> Fault.Flaky { res; from_s = at; until_s = at +. (mk *. v) })
+              evs
+          in
+          let out = Fault.run ~policy ~events ~resources prog in
+          let got = out.Fault.timing in
+          out.Fault.retries = 0
+          && Float.equal got.E.makespan want.E.makespan
+          && Array.for_all2 Float.equal got.E.start want.E.start
+          && Array.for_all2 Float.equal got.E.finish want.E.finish
+          && Array.for_all2 close got.E.busy want.E.busy)
+        [ `Fair; `Stream_priority ])
 
 let test_fault_degrade_slows () =
   (* 1 GB at 1 GB/s; at t=0.5 the link drops to half rate: the remaining
@@ -548,7 +616,50 @@ let test_fault_degrade_slows () =
   in
   check_float "degraded finish" 1.5 out.Fault.timing.E.makespan;
   Alcotest.(check int) "no retries" 0 out.Fault.retries;
-  Alcotest.(check int) "no faulted ops" 0 out.Fault.faulted_ops
+  Alcotest.(check int) "no faulted ops" 0 out.Fault.faulted_ops;
+  (* A degradation landing exactly at an op's nominal finish leaves the
+     finish untouched. The mixed program's last op on resource 2 ends at
+     the makespan, and its [t0 +. work] rounds down there, so the
+     remaining work exceeds the rounded [at -. t0] by an ulp. *)
+  let resources, p = build_mixed_program () in
+  let mk = (E.run ~resources p).E.makespan in
+  let late =
+    Fault.run ~resources
+      ~events:[ Fault.Degrade { res = 2; at = mk; factor = 0.3 } ]
+      p
+  in
+  Alcotest.(check (float 0.)) "degrade at finish" mk late.Fault.timing.E.makespan;
+  (* On a fused schedule, halving the rate of a fused chain's resource
+     from t=0 doubles every op on it: faulted runs dispatch one op per
+     event, chain members included. *)
+  let _, resources, prog = List.nth (Lazy.force dgx_plans) 1 in
+  let prepared = E.prepare ~resources prog in
+  let member =
+    List.find
+      (fun id -> E.fused_head prepared id <> id)
+      (List.init (E.prepared_ops prepared) Fun.id)
+  in
+  let res =
+    match (P.op prog member).P.kind with
+    | P.Transfer { link; _ } -> link
+    | P.Compute { engine; _ } -> engine
+    | P.Delay _ -> assert false
+  in
+  let healthy = E.run ~resources prog in
+  let slow =
+    (Fault.run ~resources ~events:[ Fault.Degrade { res; at = 0.; factor = 0.5 } ] prog)
+      .Fault.timing
+  in
+  P.iter_ops
+    (fun o ->
+      let id = o.P.id in
+      match o.P.kind with
+      | (P.Transfer { link = r; _ } | P.Compute { engine = r; _ }) when r = res ->
+          Alcotest.(check (float 1e-9)) "service time doubled" 2.
+            ((slow.E.finish.(id) -. slow.E.start.(id))
+            /. (healthy.E.finish.(id) -. healthy.E.start.(id)))
+      | _ -> ())
+    prog
 
 let test_fault_flaky_retries () =
   let p = P.create () in
@@ -614,16 +725,13 @@ let () =
     [
       ( "pqueue",
         [
-          Alcotest.test_case "ordering" `Quick test_pqueue_order;
-          Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
-          QCheck_alcotest.to_alcotest prop_pqueue_sorts;
           Alcotest.test_case "arena heap order/ties" `Quick
             test_arena_heap_order_and_ties;
           Alcotest.test_case "arena heap clear+reuse" `Quick
             test_arena_heap_clear_reuse;
           Alcotest.test_case "arena waitq lexicographic" `Quick
             test_arena_waitq_order;
-          QCheck_alcotest.to_alcotest prop_arena_heap_matches_float_key;
+          QCheck_alcotest.to_alcotest prop_arena_heap_matches_stable_sort;
         ] );
       ( "program",
         [
@@ -653,6 +761,8 @@ let () =
             test_prepared_arena_reuse_across_shapes;
           Alcotest.test_case "validation at prepare" `Quick
             test_prepared_validation;
+          Alcotest.test_case "arena released after raise" `Quick
+            test_arena_released_after_raise;
         ] );
       ( "fault",
         [
@@ -665,6 +775,7 @@ let () =
           Alcotest.test_case "dead link unrecoverable" `Quick
             test_fault_dead_link_unrecoverable;
           Alcotest.test_case "event validation" `Quick test_fault_validation;
+          QCheck_alcotest.to_alcotest prop_fault_late_events_match_engine;
         ] );
       ( "semantics",
         [
