@@ -159,8 +159,8 @@ let gather_sweep () =
         let elems = elems_of_mb 100. in
         let chunk = chunk_for elems in
         let total_bytes = 4. *. Float.of_int ((k - 1) * elems) in
-        let bp, _ = Blink.gather ~chunk_elems:chunk handle ~elems in
-        let blink = total_bytes /. (Blink.time handle bp).E.makespan /. 1e9 in
+        let bt = time_blink ~chunk_elems:chunk handle Plan.Gather ~elems in
+        let blink = total_bytes /. bt.E.makespan /. 1e9 in
         let channels = Ring.nccl_channels Server.dgx1v ~gpus in
         let spec = Codegen.spec ~chunk_elems:chunk fabric in
         let np, _ = Ring.gather spec ~root:(Blink.root handle) ~elems ~channels in
@@ -213,8 +213,7 @@ let fig12 () =
   let handle = Blink.create Server.dgx1v ~gpus:[| 0; 1; 2; 3 |] in
   let elems = elems_of_mb 500. in
   let measure ~chunk_elems =
-    let prog, _ = Blink.broadcast ~chunk_elems handle ~elems in
-    gbps ~elems (Blink.time handle prog)
+    gbps ~elems (time_blink ~chunk_elems handle Plan.Broadcast ~elems)
   in
   let result = Chunking.tune ~init:262_144 ~measure () in
   List.iteri
@@ -371,10 +370,9 @@ let dgx2_sweep () =
       let elems = max 16 (kb * 256) in
       let chunk = chunk_for elems in
       let spec = Codegen.spec ~chunk_elems:chunk fabric in
-      let bp, _ = Blink.all_reduce ~chunk_elems:chunk handle ~elems in
       let dp, _ = Dbtree.all_reduce spec ~elems in
       let rp, _ = Ring.all_reduce spec ~elems ~channels:ring_ch in
-      let blink = Blink.time handle bp in
+      let blink = time_blink ~chunk_elems:chunk handle Plan.All_reduce ~elems in
       let dbt = time_fabric fabric dp in
       let ring = time_fabric fabric rp in
       (kb, elems, blink, dbt, ring))
@@ -404,10 +402,11 @@ let fig21 () =
       let handle = Blink.create Server.dgx1v ~gpus in
       let elems = elems_of_mb 500. in
       let chunk = chunk_for elems in
-      let np, _ = Blink.broadcast ~chunk_elems:chunk handle ~elems in
       let hp, _ = Hybrid.broadcast ~chunk_elems:chunk handle ~elems in
-      let nv = gbps ~elems (Blink.time handle np) in
-      let hy = gbps ~elems (Blink.time handle hp) in
+      let nv =
+        gbps ~elems (time_blink ~chunk_elems:chunk handle Plan.Broadcast ~elems)
+      in
+      let hy = gbps ~elems (time_fabric (Blink.fabric handle) hp) in
       row "  %d GPUs: nvlink-only %6.1f   hybrid %6.1f   (+%.1f GB/s)\n" n nv hy
         (hy -. nv))
     [ 3; 4; 5; 6; 7; 8 ]
@@ -506,14 +505,19 @@ let ablation_ilp () =
 let ablation_streams () =
   heading "Ablation: stream management on/off (8-GPU DGX-1V AllReduce, 500 MB)";
   let handle = Blink.create Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
+  let fabric = Blink.fabric handle in
   let elems = elems_of_mb 500. in
   List.iter
-    (fun reuse ->
-      let prog, _ =
-        Blink.all_reduce ~chunk_elems:(chunk_for elems) ~stream_reuse:reuse handle ~elems
+    (fun stream_reuse ->
+      let spec =
+        Codegen.spec ~chunk_elems:(chunk_for elems) ~stream_reuse fabric
       in
-      row "  stream management %-3s: %.1f GB/s\n" (if reuse then "on" else "off")
-        (gbps ~elems (Blink.time handle prog)))
+      let prog, _ =
+        Codegen.all_reduce spec ~elems ~trees:(Blink.all_reduce_trees handle)
+      in
+      row "  stream management %-3s: %.1f GB/s\n"
+        (if stream_reuse then "on" else "off")
+        (gbps ~elems (time_fabric fabric prog)))
     [ true; false ]
 
 let ablation_chunk () =
@@ -521,8 +525,7 @@ let ablation_chunk () =
   let handle = Blink.create Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
   let elems = elems_of_mb 500. in
   let measure ~chunk_elems =
-    let prog, _ = Blink.broadcast ~chunk_elems handle ~elems in
-    gbps ~elems (Blink.time handle prog)
+    gbps ~elems (time_blink ~chunk_elems handle Plan.Broadcast ~elems)
   in
   List.iter
     (fun c -> row "  fixed %6.2f MB: %.1f GB/s\n" (Float.of_int c *. 4. /. 1e6) (measure ~chunk_elems:c))
@@ -537,15 +540,16 @@ let ablation_hybrid () =
   heading "Ablation: hybrid split optimal (eq. 8) vs naive proportional";
   let handle = Blink.create Server.dgx1v ~gpus:[| 0; 1; 2; 3 |] in
   let elems = elems_of_mb 500. in
-  let np, _ = Blink.broadcast handle ~elems in
+  let fabric = Blink.fabric handle in
+  let nv = time_blink ~chunk_elems:262_144 handle Plan.Broadcast ~elems in
   let hp, _ = Hybrid.broadcast handle ~elems in
   (* naive split ignores T_dpa: emulate by zero dpa then charging it *)
   let naive, _ = Hybrid.broadcast ~t_dpa:0. handle ~elems in
   let t_naive =
-    (Blink.time handle naive).E.makespan +. Hybrid.dpa_latency ~n_ranks:4
+    (time_fabric fabric naive).E.makespan +. Hybrid.dpa_latency ~n_ranks:4
   in
-  row "  nvlink-only:            %.1f GB/s\n" (gbps ~elems (Blink.time handle np));
-  row "  hybrid, eq.8 split:     %.1f GB/s\n" (gbps ~elems (Blink.time handle hp));
+  row "  nvlink-only:            %.1f GB/s\n" (gbps ~elems nv);
+  row "  hybrid, eq.8 split:     %.1f GB/s\n" (gbps ~elems (time_fabric fabric hp));
   row "  hybrid, naive split:    %.1f GB/s\n"
     (4. *. Float.of_int elems /. t_naive /. 1e9)
 

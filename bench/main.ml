@@ -6,6 +6,7 @@
 
 module Server = Blink_topology.Server
 module Blink = Blink_core.Blink
+module Codegen = Blink_collectives.Codegen
 module Treegen = Blink_core.Treegen
 module Json = Blink_telemetry.Json
 module Telemetry = Blink_telemetry.Telemetry
@@ -21,7 +22,14 @@ let bechamel_suite () =
   let graph = Server.nvlink_digraph Server.dgx1v ~gpus:gpus8 in
   let handle = Blink.create Server.dgx1v ~gpus:gpus8 in
   let elems = 25_000_000 in
-  let prog, _ = Blink.all_reduce ~chunk_elems:1_048_576 handle ~elems in
+  let telemetry = Blink.telemetry handle in
+  let fabric = Blink.fabric handle in
+  let spec = Codegen.spec ~chunk_elems:1_048_576 ~telemetry fabric in
+  let trees = Blink.all_reduce_trees handle in
+  (* Codegen outside the plan cache, so every run pays a full compile. *)
+  let codegen () = Codegen.all_reduce spec ~elems ~trees in
+  let prog, _ = codegen () in
+  let resources = Blink_topology.Fabric.resources fabric in
   let tests =
     [
       Test.make ~name:"maxflow-rate"
@@ -34,10 +42,10 @@ let bechamel_suite () =
         (Staged.stage (fun () ->
              ignore (Treegen.plan_undirected ~epsilon:0.1 graph ~root:0)));
       Test.make ~name:"codegen-allreduce-100MB"
-        (Staged.stage (fun () ->
-             ignore (Blink.all_reduce ~chunk_elems:1_048_576 handle ~elems)));
+        (Staged.stage (fun () -> ignore (codegen ())));
       Test.make ~name:"engine-run-100MB"
-        (Staged.stage (fun () -> ignore (Blink.time handle prog)));
+        (Staged.stage (fun () ->
+             ignore (Blink_sim.Engine.run ~telemetry ~resources prog)));
       Test.make ~name:"ring-channel-search"
         (Staged.stage (fun () ->
              ignore (Blink_baselines.Ring.nccl_channels Server.dgx1v ~gpus:gpus8)));
@@ -373,7 +381,6 @@ let overlap_suite () =
 
 module E = Blink_sim.Engine
 module Sem = Blink_sim.Semantics
-module Codegen = Blink_collectives.Codegen
 
 (* Minor words a steady-state timing-only Plan.execute may allocate per
    run. The arena makes the engine itself allocation-free; the budget

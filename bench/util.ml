@@ -6,6 +6,7 @@ module Alloc = Blink_topology.Alloc
 module Codegen = Blink_collectives.Codegen
 module Tree = Blink_collectives.Tree
 module Blink = Blink_core.Blink
+module Plan = Blink_core.Plan
 module Ring = Blink_baselines.Ring
 module E = Blink_sim.Engine
 
@@ -27,19 +28,25 @@ let row fmt = Printf.printf fmt
 
 let gbps ~elems (r : E.result) = Blink.algbw_gbps ~elems r
 
+(* Baselines and hand-built programs are timed on the fabric directly;
+   Blink's own collectives go through the handle's compiled plans. *)
 let time_fabric fabric prog =
   E.run ~resources:(Fabric.resources fabric) prog
+
+let time_blink ~chunk_elems handle collective ~elems =
+  (Plan.execute ~data:false (Blink.plan ~chunk_elems handle collective ~elems))
+    .Plan.timing
 
 (* Blink vs NCCL measurements on one allocation. *)
 let blink_broadcast ?(mbytes = 500.) handle =
   let elems = elems_of_mb mbytes in
-  let prog, _ = Blink.broadcast ~chunk_elems:(chunk_for elems) handle ~elems in
-  gbps ~elems (Blink.time handle prog)
+  gbps ~elems
+    (time_blink ~chunk_elems:(chunk_for elems) handle Plan.Broadcast ~elems)
 
 let blink_all_reduce ?(mbytes = 500.) handle =
   let elems = elems_of_mb mbytes in
-  let prog, _ = Blink.all_reduce ~chunk_elems:(chunk_for elems) handle ~elems in
-  gbps ~elems (Blink.time handle prog)
+  gbps ~elems
+    (time_blink ~chunk_elems:(chunk_for elems) handle Plan.All_reduce ~elems)
 
 let nccl_broadcast ?(mbytes = 500.) server ~gpus fabric =
   let elems = elems_of_mb mbytes in

@@ -168,7 +168,8 @@ let bench server gpus collective mbytes =
       | `All_reduce -> Ring.all_reduce spec ~elems ~channels
       | `Gather | `All_gather -> Ring.gather spec ~root:(Blink.root handle) ~elems ~channels
     in
-    let nccl = Blink.algbw_gbps ~elems (Blink.time handle prog) in
+    let resources = Fabric.resources (Blink.fabric handle) in
+    let nccl = Blink.algbw_gbps ~elems (Blink_sim.Engine.run ~resources prog) in
     Format.printf "nccl-style rings (%s): %.1f GB/s   -> blink is %.2fx@."
       (match channels.Ring.cls with
       | Fabric.Pcie -> "pcie fallback"
@@ -200,7 +201,8 @@ let train server gpus model =
           Codegen.spec ~chunk_elems:(Blink.heuristic_chunk ~elems) fabric
         in
         let prog, _ = Ring.all_reduce spec ~elems ~channels in
-        (Blink.time handle prog).Blink_sim.Engine.makespan)
+        (Blink_sim.Engine.run ~resources:(Fabric.resources fabric) prog)
+          .Blink_sim.Engine.makespan)
   in
   let show label backend =
     let it = Training.iteration model backend in
@@ -909,16 +911,19 @@ let tournament server gpus mbytes =
       let data_ok = data_correct handle in
       if not (feasible && data_ok) then failed := true;
       let chunk = Blink.heuristic_chunk ~elems in
-      let gbps prog = Blink.algbw_gbps ~elems (Blink.time handle prog) in
-      let bcast, _ = Blink.broadcast ~chunk_elems:chunk handle ~elems in
-      let allred, _ = Blink.all_reduce ~chunk_elems:chunk handle ~elems in
+      let gbps collective =
+        Blink.algbw_gbps ~elems
+          (Plan.execute ~data:false
+             (Blink.plan ~chunk_elems:chunk handle collective ~elems))
+            .Plan.timing
+      in
       let trees sel =
         match sel handle with
         | None -> 0
         | Some p -> List.length p.Treegen.trees
       in
       Format.printf "  %-11s %5.1f GB/s %5.1f GB/s %5d %7d %9.1f %5b %5b@."
-        (Planner.name b) (gbps bcast) (gbps allred)
+        (Planner.name b) (gbps Plan.Broadcast) (gbps Plan.All_reduce)
         (trees Blink.packing)
         (trees Blink.undirected_packing)
         (plan_s *. 1e3) feasible data_ok)

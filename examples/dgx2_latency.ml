@@ -29,7 +29,10 @@ let () =
       let bplan = Blink.plan ~chunk_elems:chunk handle Plan.All_reduce ~elems in
       let dp, _ = Dbtree.all_reduce spec ~elems in
       let rp, _ = Ring.all_reduce spec ~elems ~channels:rings in
-      let lat p = (Blink.time handle p).E.makespan *. 1e6 in
+      let lat p =
+        (E.run ~resources:(Blink_topology.Fabric.resources fabric) p).E.makespan
+        *. 1e6
+      in
       let blat = Plan.seconds (Plan.execute ~data:false bplan) *. 1e6 in
       Format.printf "%8dKB %13.0fus %13.0fus %13.0fus@." kb blat (lat dp) (lat rp))
     [ 4; 16; 64; 256; 1024 ];

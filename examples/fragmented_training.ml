@@ -76,7 +76,8 @@ let () =
         let elems = max 64 (int_of_float (bytes /. Training.bytes_per_elem)) in
         let spec = Codegen.spec ~chunk_elems:(chunk elems) fabric in
         let prog, _ = Ring.all_reduce spec ~elems ~channels in
-        (Blink.time handle prog).Blink_sim.Engine.makespan)
+        (Blink_sim.Engine.run ~resources:(Fabric.resources fabric) prog)
+          .Blink_sim.Engine.makespan)
   in
   (* The Blink side goes through the handle's compiled-plan cache: each
      gradient-bucket size compiles once, every later iteration replays. *)

@@ -63,9 +63,10 @@ let () =
     Blink.algbw_gbps ~elems (Plan.execute ~data:false plan).Plan.timing
   in
   let channels = Ring.nccl_channels Server.dgx1v ~gpus in
-  let spec = Codegen.spec (Blink.fabric handle) in
-  let nccl_prog, _ = Ring.all_reduce spec ~elems ~channels in
-  let nccl = Blink.algbw_gbps ~elems (Blink.time handle nccl_prog) in
+  let fabric = Blink.fabric handle in
+  let nccl_prog, _ = Ring.all_reduce (Codegen.spec fabric) ~elems ~channels in
+  let resources = Blink_topology.Fabric.resources fabric in
+  let nccl = Blink.algbw_gbps ~elems (Blink_sim.Engine.run ~resources nccl_prog) in
   Format.printf "AllReduce 100 MB:  Blink %.1f GB/s   NCCL-style rings %.1f GB/s (%s)  -> %.1fx@."
     blink nccl
     (match channels.Ring.cls with

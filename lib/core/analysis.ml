@@ -59,9 +59,9 @@ let resource_labels fabric =
   done;
   labels
 
-let analyze ?chunk_elems ?policy t collective ~elems =
+let analyze ?chunk_elems t collective ~elems =
   let plan = Blink.plan ?chunk_elems t collective ~elems in
-  let exec = Plan.execute ?policy ~data:false plan in
+  let exec = Plan.execute ~data:false plan in
   let timing = exec.Plan.timing in
   let attribution = Critical_path.attribute plan.Plan.program timing in
   let link_table =

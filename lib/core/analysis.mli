@@ -48,7 +48,6 @@ type report = {
 
 val analyze :
   ?chunk_elems:int ->
-  ?policy:Blink_sim.Engine.policy ->
   Blink.t ->
   Plan.collective ->
   elems:int ->

@@ -414,47 +414,38 @@ let all_reduce_trees t =
       t.ar_trees <- Some trees;
       trees
 
-let spec ?chunk_elems ?stream_reuse t =
-  Codegen.spec ?chunk_elems ?stream_reuse ~telemetry:t.telemetry t.fabric
+let trees_for t (c : Plan.collective) =
+  match c with
+  | Plan.All_reduce | Plan.Reduce_scatter -> all_reduce_trees t
+  | Plan.Broadcast | Plan.Reduce | Plan.Gather | Plan.All_gather ->
+      broadcast_trees t
 
-let broadcast ?chunk_elems ?stream_reuse t ~elems =
-  Codegen.broadcast (spec ?chunk_elems ?stream_reuse t) ~root:t.root ~elems
-    ~trees:(broadcast_trees t)
+(* CodeGen for one plan key against the current fabric and trees: the
+   only [Plan.build] call site, shared by [plan] and both prewarm paths. *)
+let compile t ((collective, elems, chunk) : plan_key) =
+  let spec = Codegen.spec ~chunk_elems:chunk ~telemetry:t.telemetry t.fabric in
+  Plan.build collective ~spec ~root:t.root ~elems
+    ~trees:(trees_for t collective)
 
-let reduce ?chunk_elems ?stream_reuse t ~elems =
-  Codegen.reduce (spec ?chunk_elems ?stream_reuse t) ~root:t.root ~elems
-    ~trees:(broadcast_trees t)
+let bytes_per_elem = 4.
 
-let all_reduce ?chunk_elems ?stream_reuse t ~elems =
-  Codegen.all_reduce (spec ?chunk_elems ?stream_reuse t) ~elems
-    ~trees:(all_reduce_trees t)
+let algbw_gbps ?(bytes_per_elem = bytes_per_elem) ~elems result =
+  bytes_per_elem *. Float.of_int elems /. result.Engine.makespan /. 1e9
 
-let gather ?chunk_elems ?stream_reuse t ~elems =
-  Codegen.gather (spec ?chunk_elems ?stream_reuse t) ~root:t.root ~elems
-    ~trees:(broadcast_trees t)
-
-let all_gather ?chunk_elems ?stream_reuse t ~elems =
-  Codegen.all_gather (spec ?chunk_elems ?stream_reuse t) ~root:t.root ~elems
-    ~trees:(broadcast_trees t)
-
-let reduce_scatter ?chunk_elems ?stream_reuse t ~elems =
-  Blink_collectives.Scatter.reduce_scatter (spec ?chunk_elems ?stream_reuse t)
-    ~elems ~trees:(all_reduce_trees t)
-
-let time ?policy t prog =
-  Engine.run ?policy ~telemetry:t.telemetry
-    ~resources:(Fabric.resources t.fabric) prog
-
-(* Engine run without telemetry, for MIAD probe measurements: each probe
+(* One MIAD probe: an AllReduce at [chunk_elems], generated outside the
+   plan cache and timed on an engine run without telemetry. Each probe
    simulates the same interval of virtual time, so recording their op
    slices would stack dozens of overlapping runs onto the engine tracks
-   of the Chrome export. The probes are still visible through the
-   [miad.*] metrics and span that [Chunking.tune] records. Runs on the
+   of the Chrome export; the probes stay visible through the [miad.*]
+   metrics and span that [Chunking.tune] records. Runs on the
    domain-local scratch arena (probes may fan out across pool domains),
    so successive probes on one domain reuse the same working set. *)
-let time_quiet t prog =
-  Engine.run_prepared
-    (Engine.prepare ~resources:(Fabric.resources t.fabric) prog)
+let probe t ~elems ~chunk_elems =
+  let spec = Codegen.spec ~chunk_elems ~telemetry:t.telemetry t.fabric in
+  let prog, _ = Codegen.all_reduce spec ~elems ~trees:(all_reduce_trees t) in
+  algbw_gbps ~elems
+    (Engine.run_prepared
+       (Engine.prepare ~resources:(Fabric.resources t.fabric) prog))
 
 (* Probe-time safety net for all tuning driven by this facade: one MIAD
    probe of a pathological class (tiny chunks × many GPUs) can cost
@@ -462,20 +453,14 @@ let time_quiet t prog =
    any healthy probe and bounds the bad ones. *)
 let default_probe_cap_s = 0.5
 
-let bytes_per_elem = 4.
-
-let algbw_gbps ?(bytes_per_elem = bytes_per_elem) ~elems result =
-  bytes_per_elem *. Float.of_int elems /. result.Engine.makespan /. 1e9
+let tune ?init ?(max_probe_seconds = default_probe_cap_s) t ~elems =
+  Chunking.tune ?init ~max_probe_seconds ~telemetry:t.telemetry
+    ~measure:(probe t ~elems) ()
 
 let heuristic_chunk ~elems = max 256 (min 262_144 (elems / 16))
 
-let tune_chunk ?(elems = 67_108_864) ?(max_probe_seconds = default_probe_cap_s)
-    t =
-  let measure ~chunk_elems =
-    let prog, _ = all_reduce ~chunk_elems t ~elems in
-    algbw_gbps ~elems (time_quiet t prog)
-  in
-  Chunking.tune ~max_probe_seconds ~telemetry:t.telemetry ~measure ()
+let tune_chunk ?(elems = 67_108_864) ?max_probe_seconds t =
+  tune ?max_probe_seconds t ~elems
 
 let size_class ~elems =
   let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
@@ -488,10 +473,6 @@ let tuned_chunk t ~elems =
   | Some (Chunk chunk) -> chunk
   | Some (Topo _ | Compiled _) -> assert false
   | None -> (
-      let measure ~chunk_elems =
-        let prog, _ = all_reduce ~chunk_elems t ~elems in
-        algbw_gbps ~elems (time_quiet t prog)
-      in
       match Hashtbl.find_opt t.chunk_hints cls with
       | Some (`Reuse chunk) ->
           (* Post-fault bottleneck rate unchanged: the previous optimum
@@ -502,38 +483,25 @@ let tuned_chunk t ~elems =
           (* The rate moved: re-probe, but descend from the previous
              optimum instead of the size heuristic. Handle-local only —
              see the [chunk_hints] invariant. *)
-          let result =
-            Chunking.tune ~init ~max_probe_seconds:default_probe_cap_s
-              ~telemetry:t.telemetry ~measure ()
-          in
+          let chosen = (tune ~init t ~elems).Chunking.chosen in
           Telemetry.incr t.telemetry "plan.chunk.retuned";
-          Hashtbl.replace t.chunk_hints cls (`Reuse result.Chunking.chosen);
-          result.Chunking.chosen
+          Hashtbl.replace t.chunk_hints cls (`Reuse chosen);
+          chosen
       | None ->
           (* Probe at a representative size of the class, starting from a
              size-proportional initial chunk. *)
-          let init = heuristic_chunk ~elems in
-          let result =
-            Chunking.tune ~init ~max_probe_seconds:default_probe_cap_s
-              ~telemetry:t.telemetry ~measure ()
+          let chosen =
+            (tune ~init:(heuristic_chunk ~elems) t ~elems).Chunking.chosen
           in
           (* Probes against a warm topology stay handle-local on a
              shared store (same publication rule as compiled plans). *)
           if t.warm_topology && not t.owns_store then
-            Hashtbl.replace t.chunk_hints cls (`Reuse result.Chunking.chosen)
-          else
-            Store.add t.store ~fp (Chunk_key cls)
-              (Chunk result.Chunking.chosen);
-          result.Chunking.chosen)
+            Hashtbl.replace t.chunk_hints cls (`Reuse chosen)
+          else Store.add t.store ~fp (Chunk_key cls) (Chunk chosen);
+          chosen)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled-plan cache *)
-
-let trees_for t (c : Plan.collective) =
-  match c with
-  | Plan.All_reduce | Plan.Reduce_scatter -> all_reduce_trees t
-  | Plan.Broadcast | Plan.Reduce | Plan.Gather | Plan.All_gather ->
-      broadcast_trees t
 
 (* Cached compilation against the shared store. The handle's telemetry
    mirrors the outcome of its own store operations — hits, misses and any
@@ -545,14 +513,7 @@ let plan ?chunk_elems t collective ~elems =
     match chunk_elems with Some c -> c | None -> tuned_chunk t ~elems
   in
   let key = (collective, elems, chunk) in
-  let build () =
-    let spec =
-      Codegen.spec ~chunk_elems:chunk ~telemetry:t.telemetry t.fabric
-    in
-    Compiled
-      (Plan.build collective ~spec ~root:t.root ~elems
-         ~trees:(trees_for t collective))
-  in
+  let build () = Compiled (compile t key) in
   if t.warm_topology && not t.owns_store then begin
     (* Warm-derived topology on a shared store: never publish. Existing
        (cold-built or migrated) entries still serve; misses compile
@@ -855,102 +816,114 @@ let fail_gpu t ~gpu =
   apply_mutation ~replan:`Cold t ~affected:`All
 
 (* ------------------------------------------------------------------ *)
-(* Prewarm: batch-populate the plan cache across domains. Only the pure,
-   expensive stages (MIAD tuning probes, Plan.build codegen) run on pool
-   workers; every handle mutation — the tree memos, the chunk cache, the
-   plan table and its FIFO — happens in the calling domain, so a prewarmed
-   handle is bit-identical to one warmed by sequential [plan] calls. *)
+(* Prewarm: batch-populate the plan cache. Both entry points run the same
+   three steps. [snapshot] reads the handle in the calling domain: it
+   forces the tree memos (the pipeline then only reads them), dedups the
+   keys and records which size classes the store has already tuned.
+   [pipeline] is the pure, expensive part — MIAD tuning of the untuned
+   classes, then [compile] for every key [cached] does not report — and
+   may run off the calling domain. [install] performs every handle and
+   store mutation back in the calling domain: it adds the tuned chunks,
+   then inserts in key order only the plans still absent when it runs,
+   so eviction order and the miss counters match sequential [plan] calls
+   and the count it returns is the number of plans this call inserted.
+   [prewarm] runs the pipeline in the caller, each stage fanned out over
+   its pool; [prewarm_async] runs it sequentially as one pool future. *)
+
+type batch = {
+  b_fp : string;  (* fingerprint the batch's entries belong to *)
+  b_keys : (Plan.collective * int) list;  (* deduplicated, in call order *)
+  b_untuned : (int * int) list;  (* size class, elems of its first key *)
+  b_chunks : (int, int) Hashtbl.t;  (* chunk of every already-tuned class *)
+}
+
+let dedup_by key xs =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun x ->
+      let k = key x in
+      if Hashtbl.mem seen k then false
+      else (
+        Hashtbl.add seen k ();
+        true))
+    xs
+
+let snapshot t keys =
+  check_usable t;
+  ignore (broadcast_trees t);
+  ignore (all_reduce_trees t);
+  let fp = Fingerprint.id t.fingerprint in
+  let keys = dedup_by Fun.id keys in
+  let chunks = Hashtbl.create 8 in
+  let untuned =
+    List.filter_map
+      (fun (_, elems) ->
+        let cls = size_class ~elems in
+        match Store.find_opt t.store ~fp (Chunk_key cls) with
+        | Some (Chunk chunk) ->
+            Hashtbl.replace chunks cls chunk;
+            None
+        | Some (Topo _ | Compiled _) -> assert false
+        | None -> Some (cls, elems))
+      keys
+    |> dedup_by fst
+  in
+  { b_fp = fp; b_keys = keys; b_untuned = untuned; b_chunks = chunks }
+
+let plan_cached t ~fp key =
+  Option.is_some (Store.find_opt t.store ~fp (Plan_key key))
 
 let map_pool pool f xs =
   match pool with
   | Some pool -> Blink_parallel.Pool.parallel_map pool f xs
   | None -> List.map f xs
 
-let rec prewarm ?pool ?(contingencies = `None) t keys =
-  check_usable t;
-  (* Force the tree memos here: workers then only read
-     [t.bcast_trees]/[t.ar_trees] and never race on filling them. *)
-  ignore (broadcast_trees t);
-  ignore (all_reduce_trees t);
-  let fp = Fingerprint.id t.fingerprint in
-  let dedup keep xs =
-    let seen = Hashtbl.create 16 in
-    List.filter_map
-      (fun x ->
-        match keep x with
-        | Some k when not (Hashtbl.mem seen k) ->
-            Hashtbl.add seen k ();
-            Some (k, x)
-        | Some _ | None -> None)
-      xs
-  in
-  let keys = List.map snd (dedup (fun k -> Some k) keys) in
-  (* Stage 1: MIAD-tune every size class not already cached. Each class
-     tunes independently and deterministically, so the probes fan out;
-     the cache inserts stay here. *)
-  let missing_classes =
-    dedup
-      (fun (_, elems) ->
-        let cls = size_class ~elems in
-        match Store.find_opt t.store ~fp (Chunk_key cls) with
-        | Some _ -> None
-        | None -> Some cls)
-      keys
-  in
+let pipeline ?pool t ~cached b =
   let tuned =
     map_pool pool
-      (fun (cls, (_, elems)) ->
-        let init = heuristic_chunk ~elems in
-        let measure ~chunk_elems =
-          let prog, _ = all_reduce ~chunk_elems t ~elems in
-          algbw_gbps ~elems (time_quiet t prog)
-        in
-        let result =
-          Chunking.tune ~init ~max_probe_seconds:default_probe_cap_s
-            ~telemetry:t.telemetry ~measure ()
-        in
-        (cls, result.Chunking.chosen))
-      missing_classes
+      (fun (cls, elems) ->
+        (cls, (tune ~init:(heuristic_chunk ~elems) t ~elems).Chunking.chosen))
+      b.b_untuned
   in
-  List.iter
-    (fun (cls, chunk) -> Store.add t.store ~fp (Chunk_key cls) (Chunk chunk))
-    tuned;
   let chunk_for elems =
-    match Store.find_opt t.store ~fp (Chunk_key (size_class ~elems)) with
-    | Some (Chunk chunk) -> chunk
-    | _ -> assert false
+    let cls = size_class ~elems in
+    match List.assoc_opt cls tuned with
+    | Some chunk -> chunk
+    | None -> Hashtbl.find b.b_chunks cls
   in
-  (* Stage 2: compile the missing plans in parallel (Plan.build is pure
-     given the spec and trees), then insert in key order so eviction order
-     and the miss counters match the sequential path. *)
   let missing =
-    dedup
+    List.filter_map
       (fun (collective, elems) ->
         let key = (collective, elems, chunk_for elems) in
-        match Store.find_opt t.store ~fp (Plan_key key) with
-        | Some _ -> None
-        | None -> Some key)
-      keys
+        if cached key then None else Some key)
+      b.b_keys
   in
-  let built =
-    map_pool pool
-      (fun (((collective, elems, chunk) : plan_key), _) ->
-        let spec =
-          Codegen.spec ~chunk_elems:chunk ~telemetry:t.telemetry t.fabric
-        in
-        ( (collective, elems, chunk),
-          Plan.build collective ~spec ~root:t.root ~elems
-            ~trees:(trees_for t collective) ))
-      missing
-  in
+  (tuned, map_pool pool (fun key -> (key, compile t key)) missing)
+
+let install t b (tuned, built) =
   List.iter
-    (fun (key, plan) ->
-      let evicted = Store.insert_built t.store ~fp (Plan_key key) (Compiled plan) in
-      Telemetry.incr t.telemetry "plan.cache.misses";
-      if evicted > 0 then
-        Telemetry.incr t.telemetry ~by:evicted "plan.cache.evictions")
-    built;
-  List.length built + prewarm_contingencies ?pool ~contingencies t keys
+    (fun (cls, chunk) ->
+      Store.add t.store ~fp:b.b_fp (Chunk_key cls) (Chunk chunk))
+    tuned;
+  List.fold_left
+    (fun inserted (key, plan) ->
+      match
+        Store.insert_built t.store ~fp:b.b_fp (Plan_key key) (Compiled plan)
+      with
+      | None -> inserted
+      | Some evicted ->
+          Telemetry.incr t.telemetry "plan.cache.misses";
+          if evicted > 0 then
+            Telemetry.incr t.telemetry ~by:evicted "plan.cache.evictions";
+          inserted + 1)
+    0 built
+
+let rec prewarm ?pool ?(contingencies = `None) t keys =
+  let b = snapshot t keys in
+  let inserted =
+    install t b (pipeline ?pool t ~cached:(plan_cached t ~fp:b.b_fp) b)
+  in
+  inserted + prewarm_contingencies ?pool ~contingencies t b.b_keys
 
 (* Background contingency plans: precompute the full "one link down"
    post-fault state — topology packing, tuned chunks and the requested
@@ -1073,157 +1046,55 @@ and prewarm_contingencies ?pool ~contingencies t keys =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Async prewarm: overlap planning with execution. The split mirrors
-   [prewarm]'s stage structure, relocated in time: [prewarm_async]
-   snapshots everything the pipeline needs from the handle (forced tree
-   memos, the fingerprint, which size classes and plan keys the store
-   already holds) in the calling domain and submits the pure pipeline —
-   MIAD tuning probes, then Plan.build codegen — as one pool future;
-   [prewarm_await] redeems it and performs every handle/store mutation
-   in the calling domain, exactly as [prewarm] would have. Between the
-   two calls the caller is free to run [Plan.execute] on live plans
-   while tuning and codegen for the next keys proceed on a worker — the
-   paper's generate-once/run-always split, pipelined. On a sequential
-   pool (or none) the future runs eagerly inside [prewarm_async] in the
-   calling domain, so results degenerate to [prewarm]'s. *)
+(* Async prewarm: overlap planning with execution. [prewarm_async] takes
+   the snapshot and submits the pipeline as one pool future;
+   [prewarm_await] redeems it and installs. Between the two calls the
+   caller is free to run [Plan.execute] on live plans while tuning and
+   codegen for the next keys proceed on a worker — the paper's
+   generate-once/run-always split, pipelined. The future never reads the
+   store: plan presence is frozen at submission for the keys whose chunk
+   is already tuned, and keys waiting on a fresh tune are built
+   unconditionally (their plan key embeds the not-yet-chosen chunk);
+   [install] drops whichever of them are cached by the time it runs. On a
+   sequential pool (or none) the future runs eagerly inside
+   [prewarm_async] in the calling domain. *)
 
 type prewarm_job = {
-  j_fp : string;  (* fingerprint snapshot the job's entries belong to *)
+  j_batch : batch;
   j_future :
     ((int * int) list * (plan_key * Plan.t) list) Blink_parallel.Pool.future;
   mutable j_awaited : bool;
 }
 
 let prewarm_async ?pool t keys =
-  check_usable t;
-  (* Force the tree memos here: the future then only reads
-     [t.bcast_trees]/[t.ar_trees] and never races on filling them. *)
-  ignore (broadcast_trees t);
-  ignore (all_reduce_trees t);
-  let fp = Fingerprint.id t.fingerprint in
-  let dedup keep xs =
-    let seen = Hashtbl.create 16 in
-    List.filter_map
-      (fun x ->
-        match keep x with
-        | Some k when not (Hashtbl.mem seen k) ->
-            Hashtbl.add seen k ();
-            Some (k, x)
-        | Some _ | None -> None)
-      xs
-  in
-  let keys = List.map snd (dedup (fun k -> Some k) keys) in
-  (* Snapshot the store's answers now; the future never touches it. *)
-  let missing_classes =
-    dedup
-      (fun (_, elems) ->
-        let cls = size_class ~elems in
-        match Store.find_opt t.store ~fp (Chunk_key cls) with
-        | Some _ -> None
-        | None -> Some cls)
-      keys
-  in
-  let cached_chunks = Hashtbl.create 8 in
-  List.iter
-    (fun (_, elems) ->
-      let cls = size_class ~elems in
-      if not (Hashtbl.mem cached_chunks cls) then
-        match Store.find_opt t.store ~fp (Chunk_key cls) with
-        | Some (Chunk chunk) -> Hashtbl.add cached_chunks cls chunk
-        | Some _ | None -> ())
-    keys;
-  let plan_cached key =
-    Option.is_some (Store.find_opt t.store ~fp (Plan_key key))
-  in
-  (* For keys whose chunk is already known, presence is decided now; keys
-     waiting on a fresh tune can't be cached yet (their plan key embeds
-     the not-yet-chosen chunk) and are built unconditionally. *)
-  let cached_plan_keys = Hashtbl.create 16 in
+  let b = snapshot t keys in
+  let frozen = Hashtbl.create 16 in
   List.iter
     (fun (collective, elems) ->
-      match Hashtbl.find_opt cached_chunks (size_class ~elems) with
+      match Hashtbl.find_opt b.b_chunks (size_class ~elems) with
       | Some chunk ->
           let key = (collective, elems, chunk) in
-          if plan_cached key then Hashtbl.replace cached_plan_keys key ()
+          if plan_cached t ~fp:b.b_fp key then Hashtbl.replace frozen key ()
       | None -> ())
-    keys;
-  let run_pipeline () =
-    (* Stage 1: tune the missing size classes (pure given the snapshot:
-       probes time simulated replays of the current fabric/trees). *)
-    let tuned =
-      List.map
-        (fun (cls, (_, elems)) ->
-          let init = heuristic_chunk ~elems in
-          let measure ~chunk_elems =
-            let prog, _ = all_reduce ~chunk_elems t ~elems in
-            algbw_gbps ~elems (time_quiet t prog)
-          in
-          let result =
-            Chunking.tune ~init ~max_probe_seconds:default_probe_cap_s
-              ~telemetry:t.telemetry ~measure ()
-          in
-          (cls, result.Chunking.chosen))
-        missing_classes
-    in
-    let chunk_for elems =
-      let cls = size_class ~elems in
-      match List.assoc_opt cls tuned with
-      | Some chunk -> chunk
-      | None -> Hashtbl.find cached_chunks cls
-    in
-    (* Stage 2: compile the missing plans, walking keys in the same order
-       [prewarm] does so insertion (and hence eviction) order matches. *)
-    let missing =
-      dedup
-        (fun (collective, elems) ->
-          let key = (collective, elems, chunk_for elems) in
-          if Hashtbl.mem cached_plan_keys key then None else Some key)
-        keys
-    in
-    let built =
-      List.map
-        (fun (((collective, elems, chunk) : plan_key), _) ->
-          let spec =
-            Codegen.spec ~chunk_elems:chunk ~telemetry:t.telemetry t.fabric
-          in
-          ( (collective, elems, chunk),
-            Plan.build collective ~spec ~root:t.root ~elems
-              ~trees:(trees_for t collective) ))
-        missing
-    in
-    (tuned, built)
-  in
+    b.b_keys;
+  let run () = pipeline t ~cached:(Hashtbl.mem frozen) b in
   let future =
     match pool with
-    | Some pool -> Blink_parallel.Pool.async pool run_pipeline
+    | Some pool -> Blink_parallel.Pool.async pool run
     | None ->
         (* No pool: run eagerly, wrapped as an already-finished future
            through a 1-domain pool's degenerate async. *)
         Blink_parallel.Pool.with_pool ~domains:1 (fun p ->
-            Blink_parallel.Pool.async p run_pipeline)
+            Blink_parallel.Pool.async p run)
   in
   t.prewarm_inflight <- t.prewarm_inflight + 1;
-  { j_fp = fp; j_future = future; j_awaited = false }
+  { j_batch = b; j_future = future; j_awaited = false }
 
 let prewarm_await t job =
   if job.j_awaited then
     invalid_arg "Blink.prewarm_await: job already awaited";
   job.j_awaited <- true;
   t.prewarm_inflight <- t.prewarm_inflight - 1;
-  let tuned, built = Blink_parallel.Pool.await job.j_future in
+  let result = Blink_parallel.Pool.await job.j_future in
   check_usable t;
-  let fp = job.j_fp in
-  (* Calling-domain mutation, identical to [prewarm]'s insert stages. *)
-  List.iter
-    (fun (cls, chunk) -> Store.add t.store ~fp (Chunk_key cls) (Chunk chunk))
-    tuned;
-  List.iter
-    (fun (key, plan) ->
-      let evicted =
-        Store.insert_built t.store ~fp (Plan_key key) (Compiled plan)
-      in
-      Telemetry.incr t.telemetry "plan.cache.misses";
-      if evicted > 0 then
-        Telemetry.incr t.telemetry ~by:evicted "plan.cache.evictions")
-    built;
-  List.length built
+  install t job.j_batch result

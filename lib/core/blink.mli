@@ -166,38 +166,6 @@ val all_reduce_trees : t -> Blink_collectives.Tree.weighted list
     DGX-1-like machines; [n] one-hop trees with rotating roots on NVSwitch
     machines. *)
 
-val spec :
-  ?chunk_elems:int -> ?stream_reuse:bool -> t -> Blink_collectives.Codegen.spec
-(** CodeGen parameters against this handle's fabric (NVLink class). *)
-
-(** {2 Collectives} — each returns the program and its buffer layout. *)
-
-val broadcast :
-  ?chunk_elems:int -> ?stream_reuse:bool -> t -> elems:int ->
-  Blink_sim.Program.t * Blink_collectives.Codegen.layout
-
-val reduce :
-  ?chunk_elems:int -> ?stream_reuse:bool -> t -> elems:int ->
-  Blink_sim.Program.t * Blink_collectives.Codegen.layout
-
-val all_reduce :
-  ?chunk_elems:int -> ?stream_reuse:bool -> t -> elems:int ->
-  Blink_sim.Program.t * Blink_collectives.Codegen.layout
-
-val gather :
-  ?chunk_elems:int -> ?stream_reuse:bool -> t -> elems:int ->
-  Blink_sim.Program.t * Blink_collectives.Codegen.layout
-
-val all_gather :
-  ?chunk_elems:int -> ?stream_reuse:bool -> t -> elems:int ->
-  Blink_sim.Program.t * Blink_collectives.Codegen.layout
-
-val reduce_scatter :
-  ?chunk_elems:int -> ?stream_reuse:bool -> t -> elems:int ->
-  Blink_sim.Program.t * Blink_collectives.Codegen.layout
-(** Segment [r] of every buffer reduced into rank [r]'s buffer (NCCL
-    in-place convention over a [n_ranks]-segment buffer). *)
-
 (** {2 Compiled plans}
 
     The paper's plan/execute split: {!plan} compiles (or fetches from the
@@ -218,9 +186,9 @@ val prewarm :
   (Plan.collective * int) list ->
   int
 (** Batch-populate the plan cache for the given [(collective, elems)]
-    keys, returning how many plans were newly compiled (duplicates and
-    already-cached keys are skipped). Chunk sizes come from the MIAD
-    tuner exactly as in {!plan}.
+    keys, returning the number of plans this call inserted (duplicates
+    and keys already cached are not counted). Chunk sizes come from the
+    MIAD tuner exactly as in {!plan}.
 
     [pool] fans the expensive pure stages — tuning probes for uncached
     size classes, then [Plan.build] codegen — across domains; all handle
@@ -262,7 +230,9 @@ val prewarm_async :
     are forced, fingerprint and store answers captured); every handle
     and store mutation is deferred to {!prewarm_await}, also in the
     calling domain. After awaiting, the handle is in the state
-    [prewarm t keys] (without contingencies) would have produced.
+    [prewarm t keys] (without contingencies) would have produced; a key
+    the handle cached in the meantime, by {!plan} or otherwise, is
+    neither inserted again nor counted.
 
     On a 1-domain pool — in particular any host where
     [Pool.default_domains () = 1] — or when [pool] is omitted, the
@@ -278,8 +248,9 @@ val prewarm_async :
 val prewarm_await : t -> prewarm_job -> int
 (** Block until the job's pipeline finishes, apply its results to the
     handle (chunk cache and plan store insertions, miss/eviction
-    counters — exactly the mutations {!prewarm} performs), and return
-    how many plans were newly compiled. Raises [Invalid_argument] if the
+    counters — the same install step {!prewarm} runs), and return the
+    number of plans this call inserted: built plans whose key is cached
+    by the time of the await are dropped uncounted. Raises [Invalid_argument] if the
     job was already awaited. If the pipeline raised, that exception is
     re-raised here and the handle is left unmutated (the inflight guard
     is still released). *)
@@ -354,11 +325,7 @@ val plan_cache_invalidations : t -> int
     ["plan.cache.invalidations"]); FIFO evictions are counted separately
     as ["plan.cache.evictions"]. *)
 
-(** {2 Timing} *)
-
-val time :
-  ?policy:Blink_sim.Engine.policy -> t -> Blink_sim.Program.t ->
-  Blink_sim.Engine.result
+(** {2 Timing and chunk tuning} *)
 
 val bytes_per_elem : float
 (** Element width assumed throughout (fp32 = 4 bytes): the single knob a

@@ -82,8 +82,6 @@ type execution = {
 }
 
 val execute :
-  ?policy:Blink_sim.Engine.policy ->
-  ?telemetry:Blink_telemetry.Telemetry.t ->
   ?data:bool ->
   ?reuse_memory:bool ->
   ?load:(Blink_sim.Semantics.memory -> Blink_collectives.Codegen.layout -> unit) ->
@@ -103,13 +101,14 @@ val execute :
     valid until the plan's next [execute] — copy out what must survive,
     and don't execute one plan from two domains concurrently.
 
-    Reports into [telemetry] (default: the plan's own handle): execute
-    counters, the makespan histogram, the per-execute
-    ["plan.execute.minor_words"] allocation histogram and per-resource
-    busy/utilization gauges folded in from
-    {!Blink_sim.Trace.utilizations}; when tracing, a ["plan.execute"]
-    span plus the engine's per-op slices. With a disabled handle the only
-    cost over the bare engine run is a match. *)
+    Reports into the plan's own {!field-telemetry}: execute counters,
+    the makespan histogram, the per-execute ["plan.execute.minor_words"]
+    allocation histogram and per-resource busy/utilization gauges (the
+    series {!Blink_sim.Trace.utilizations} computes); when tracing, a
+    ["plan.execute"] span plus the engine's per-op slices. With a
+    disabled handle the only cost over the bare engine run is a match.
+    Timing uses the engine's default dispatch policy;
+    {!Blink_sim.Engine.run} takes a [policy] for comparisons. *)
 
 val seconds : execution -> float
 (** The simulated makespan of the execution. *)

@@ -175,13 +175,13 @@ let find_or_build t ~fp key ~build =
 
 let insert_built t ~fp key value =
   with_lock t (fun () ->
-      t.misses <- t.misses + 1;
       match find_entry t fp key with
-      | Some _ -> 0
+      | Some _ -> None
       | None ->
+          t.misses <- t.misses + 1;
           let evicted = evict_over_cap t in
           push t fp key value ~evictable:true;
-          evicted)
+          Some evicted)
 
 let migrate t ~from_ ~to_ ~classify ~drop_source =
   with_lock t (fun () ->

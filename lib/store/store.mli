@@ -45,10 +45,10 @@ val find_or_build :
     entries evicted to make room. If a concurrent builder inserted first,
     its value wins (the miss is still counted). *)
 
-val insert_built : ('k, 'v) t -> fp:string -> 'k -> 'v -> int
+val insert_built : ('k, 'v) t -> fp:string -> 'k -> 'v -> int option
 (** Insert an externally built value as a counted miss (prewarm path),
-    returning the evictions performed. Keeps an existing entry if the key
-    raced in. *)
+    returning [Some] of the evictions performed. [None] when the key is
+    already present: the existing entry is kept and nothing is counted. *)
 
 val memo : ('k, 'v) t -> fp:string -> 'k -> build:(unit -> 'v) -> 'v
 (** Uncounted, non-evictable memoization: build outside the lock,

@@ -16,6 +16,15 @@ module E = Blink_sim.Engine
 module Trace = Blink_sim.Trace
 module Hazard = Blink_sim.Hazard
 module Sem = Blink_sim.Semantics
+module Plan = Blink_core.Plan
+
+(* Blink's program and layout for one collective, compiled through the
+   handle's plan cache. *)
+let compiled collective ~chunk_elems h ~elems =
+  let plan = Blink.plan ~chunk_elems h collective ~elems in
+  (plan.Plan.program, plan.Plan.layout)
+
+let time h prog = E.run ~resources:(Fabric.resources (Blink.fabric h)) prog
 
 (* ------------------------------------------------------------------ *)
 (* Trace *)
@@ -63,8 +72,10 @@ let test_critical_path () =
 
 let test_critical_path_real_collective () =
   let handle = Blink.create Server.dgx1v ~gpus:[| 1; 4; 5; 6 |] in
-  let prog, _ = Blink.all_reduce ~chunk_elems:262_144 handle ~elems:2_500_000 in
-  let r = Blink.time handle prog in
+  let prog, _ =
+    compiled Plan.All_reduce ~chunk_elems:262_144 handle ~elems:2_500_000
+  in
+  let r = time handle prog in
   let path = Trace.critical_path prog r in
   Alcotest.(check bool) "non-trivial path" true (List.length path >= 3);
   (* Spans are ordered and non-overlapping along the chain. *)
@@ -162,15 +173,15 @@ let test_collectives_race_free () =
   let gpus = [| 1; 4; 5; 6 |] in
   let handle = Blink.create Server.dgx1v ~gpus in
   let elems = 40_000 and chunk = 4_096 in
-  let b, _ = Blink.broadcast ~chunk_elems:chunk handle ~elems in
+  let b, _ = compiled Plan.Broadcast ~chunk_elems:chunk handle ~elems in
   check_race_free "broadcast" b;
-  let a, _ = Blink.all_reduce ~chunk_elems:chunk handle ~elems in
+  let a, _ = compiled Plan.All_reduce ~chunk_elems:chunk handle ~elems in
   check_race_free "all_reduce" a;
-  let g, _ = Blink.gather ~chunk_elems:chunk handle ~elems in
+  let g, _ = compiled Plan.Gather ~chunk_elems:chunk handle ~elems in
   check_race_free "gather" g;
-  let ag, _ = Blink.all_gather ~chunk_elems:chunk handle ~elems in
+  let ag, _ = compiled Plan.All_gather ~chunk_elems:chunk handle ~elems in
   check_race_free "all_gather" ag;
-  let rs, _ = Blink.reduce_scatter ~chunk_elems:chunk handle ~elems in
+  let rs, _ = compiled Plan.Reduce_scatter ~chunk_elems:chunk handle ~elems in
   check_race_free "reduce_scatter" rs
 
 let test_baselines_race_free () =
@@ -232,11 +243,11 @@ let prop_random_collectives_race_free =
       let chunk = 1 + Random.State.int rng 800 in
       let prog, _ =
         match Random.State.int rng 5 with
-        | 0 -> Blink.broadcast ~chunk_elems:chunk handle ~elems
-        | 1 -> Blink.all_reduce ~chunk_elems:chunk handle ~elems
-        | 2 -> Blink.gather ~chunk_elems:chunk handle ~elems
-        | 3 -> Blink.all_gather ~chunk_elems:chunk handle ~elems
-        | _ -> Blink.reduce_scatter ~chunk_elems:chunk handle ~elems
+        | 0 -> compiled Plan.Broadcast ~chunk_elems:chunk handle ~elems
+        | 1 -> compiled Plan.All_reduce ~chunk_elems:chunk handle ~elems
+        | 2 -> compiled Plan.Gather ~chunk_elems:chunk handle ~elems
+        | 3 -> compiled Plan.All_gather ~chunk_elems:chunk handle ~elems
+        | _ -> compiled Plan.Reduce_scatter ~chunk_elems:chunk handle ~elems
       in
       Hazard.is_race_free prog)
 
@@ -252,9 +263,9 @@ let prop_makespan_bounds =
       let handle = Blink.create Server.dgx1v ~gpus in
       let elems = 500_000 + Random.State.int rng 2_000_000 in
       let chunk = 32_768 + Random.State.int rng 262_144 in
-      let prog, _ = Blink.all_reduce ~chunk_elems:chunk handle ~elems in
+      let prog, _ = compiled Plan.All_reduce ~chunk_elems:chunk handle ~elems in
       let resources = Fabric.resources (Blink.fabric handle) in
-      let r = Blink.time handle prog in
+      let r = time handle prog in
       (* Lower bound 1: the busiest resource's work divided by its lanes. *)
       let work_bound =
         Array.to_list r.E.busy
@@ -278,7 +289,9 @@ let test_reduce_scatter_semantics () =
   List.iter
     (fun (gpus, elems, chunk) ->
       let handle = Blink.create Server.dgx1v ~gpus in
-      let prog, layout = Blink.reduce_scatter ~chunk_elems:chunk handle ~elems in
+      let prog, layout =
+        compiled Plan.Reduce_scatter ~chunk_elems:chunk handle ~elems
+      in
       let mem = Sem.memory_of_program prog in
       let k = Array.length gpus in
       for r = 0 to k - 1 do
@@ -302,7 +315,7 @@ let test_reduce_scatter_semantics () =
 let test_reduce_scatter_dgx2 () =
   let handle = Blink.create Server.dgx2 ~gpus:(Array.init 16 Fun.id) in
   let elems = 6_400 in
-  let prog, layout = Blink.reduce_scatter ~chunk_elems:256 handle ~elems in
+  let prog, layout = compiled Plan.Reduce_scatter ~chunk_elems:256 handle ~elems in
   check_race_free "dgx2 reduce_scatter" prog;
   let mem = Sem.memory_of_program prog in
   for r = 0 to 15 do
@@ -325,10 +338,10 @@ let test_reduce_scatter_dgx2 () =
 let test_reduce_scatter_cheaper_than_all_reduce () =
   let handle = Blink.create Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
   let elems = 25_000_000 in
-  let rs, _ = Blink.reduce_scatter ~chunk_elems:262_144 handle ~elems in
-  let ar, _ = Blink.all_reduce ~chunk_elems:262_144 handle ~elems in
-  let t_rs = (Blink.time handle rs).E.makespan in
-  let t_ar = (Blink.time handle ar).E.makespan in
+  let rs, _ = compiled Plan.Reduce_scatter ~chunk_elems:262_144 handle ~elems in
+  let ar, _ = compiled Plan.All_reduce ~chunk_elems:262_144 handle ~elems in
+  let t_rs = (time handle rs).E.makespan in
+  let t_ar = (time handle ar).E.makespan in
   Alcotest.(check bool)
     (Printf.sprintf "reduce_scatter %.2fms < all_reduce %.2fms" (t_rs *. 1e3) (t_ar *. 1e3))
     true (t_rs < t_ar)

@@ -7,6 +7,16 @@ module Codegen = Blink_collectives.Codegen
 module Tree = Blink_collectives.Tree
 module Sem = Blink_sim.Semantics
 module E = Blink_sim.Engine
+module Plan = Blink_core.Plan
+
+(* Blink's program and layout for one collective, compiled through the
+   handle's plan cache. *)
+let compiled collective ~chunk_elems h ~elems =
+  let plan = Blink_core.Blink.plan ~chunk_elems h collective ~elems in
+  (plan.Plan.program, plan.Plan.layout)
+
+let time h prog =
+  E.run ~resources:(Fabric.resources (Blink_core.Blink.fabric h)) prog
 
 let input_for rank elems =
   Array.init elems (fun i -> Float.of_int (((i * 3) + (rank * 17)) mod 13))
@@ -188,10 +198,10 @@ let test_dbtree_latency_vs_one_hop () =
   let fabric = Blink_core.Blink.fabric h in
   let elems = 4_096 (* 16 KB *) in
   let spec = Codegen.spec ~chunk_elems:1_024 fabric in
-  let bp, _ = Blink_core.Blink.all_reduce ~chunk_elems:1_024 h ~elems in
+  let bp, _ = compiled Plan.All_reduce ~chunk_elems:1_024 h ~elems in
   let dp, _ = Dbtree.all_reduce spec ~elems in
-  let tb = (Blink_core.Blink.time h bp).E.makespan in
-  let td = (Blink_core.Blink.time h dp).E.makespan in
+  let tb = (time h bp).E.makespan in
+  let td = (time h dp).E.makespan in
   Alcotest.(check bool)
     (Printf.sprintf "one-hop %.0fus at least 2x faster than dbt %.0fus"
        (tb *. 1e6) (td *. 1e6))

@@ -9,6 +9,16 @@ module Emit = Blink_collectives.Emit
 module P = Blink_sim.Program
 module Sem = Blink_sim.Semantics
 module E = Blink_sim.Engine
+module Plan = Blink_core.Plan
+
+(* Blink's program and layout for one collective, compiled through the
+   handle's plan cache. *)
+let compiled collective ~chunk_elems h ~elems =
+  let plan = Blink_core.Blink.plan ~chunk_elems h collective ~elems in
+  (plan.Plan.program, plan.Plan.layout)
+
+let time h prog =
+  E.run ~resources:(Fabric.resources (Blink_core.Blink.fabric h)) prog
 
 (* ------------------------------------------------------------------ *)
 (* Tree *)
@@ -161,7 +171,7 @@ let test_all_reduce_one_hop_roots () =
   (* DGX-2 one-hop trees have 16 distinct roots. *)
   let h = Blink_core.Blink.create Server.dgx2 ~gpus:(Array.init 16 Fun.id) in
   let elems = 4_800 in
-  let prog, layout = Blink_core.Blink.all_reduce ~chunk_elems:100 h ~elems in
+  let prog, layout = compiled Plan.All_reduce ~chunk_elems:100 h ~elems in
   let mem = Sem.memory_of_program prog in
   load_inputs mem layout 16 elems;
   Sem.run prog mem;
@@ -333,19 +343,24 @@ let test_micro_small_sizes_degrade () =
 let test_stream_reuse_helps () =
   let h = dgx1v_handle [| 0; 1; 2; 3; 4; 5; 6; 7 |] in
   let elems = 25_000_000 in
-  let on, _ = Blink_core.Blink.all_reduce ~chunk_elems:1_048_576 ~stream_reuse:true h ~elems in
-  let off, _ = Blink_core.Blink.all_reduce ~chunk_elems:1_048_576 ~stream_reuse:false h ~elems in
-  let t_on = (Blink_core.Blink.time h on).E.makespan in
-  let t_off = (Blink_core.Blink.time h off).E.makespan in
+  let program stream_reuse =
+    let spec =
+      Codegen.spec ~chunk_elems:1_048_576 ~stream_reuse (Blink_core.Blink.fabric h)
+    in
+    fst (Codegen.all_reduce spec ~elems ~trees:(Blink_core.Blink.all_reduce_trees h))
+  in
+  let on = program true and off = program false in
+  let t_on = (time h on).E.makespan in
+  let t_off = (time h off).E.makespan in
   Alcotest.(check bool)
     (Printf.sprintf "stream management faster (%.2fms <= %.2fms)" (t_on *. 1e3) (t_off *. 1e3))
     true (t_on <= t_off +. 1e-9)
 
 let test_timing_deterministic () =
   let h = dgx1v_handle [| 1; 4; 5; 6 |] in
-  let prog, _ = Blink_core.Blink.all_reduce ~chunk_elems:65_536 h ~elems:1_000_000 in
-  let a = (Blink_core.Blink.time h prog).E.makespan in
-  let b = (Blink_core.Blink.time h prog).E.makespan in
+  let prog, _ = compiled Plan.All_reduce ~chunk_elems:65_536 h ~elems:1_000_000 in
+  let a = (time h prog).E.makespan in
+  let b = (time h prog).E.makespan in
   Alcotest.(check (float 0.)) "identical runs" a b
 
 let () =

@@ -7,6 +7,16 @@ module Chunking = Blink_core.Chunking
 module Hybrid = Blink_core.Hybrid
 module Multiserver = Blink_core.Multiserver
 module E = Blink_sim.Engine
+module Plan = Blink_core.Plan
+
+(* Blink's program and layout for one collective, compiled through the
+   handle's plan cache. *)
+let compiled collective ~chunk_elems h ~elems =
+  let plan = Blink.plan ~chunk_elems h collective ~elems in
+  (plan.Plan.program, plan.Plan.layout)
+
+let time h prog =
+  E.run ~resources:(Blink_topology.Fabric.resources (Blink.fabric h)) prog
 
 let check_float = Alcotest.(check (float 1e-6))
 let gen2 = Link.bandwidth Link.Nvlink_gen2
@@ -153,8 +163,8 @@ let test_facade_beats_pcie_fallback () =
   let gpus = [| 1; 4; 5; 6 |] in
   let h = Blink.create Server.dgx1v ~gpus in
   let elems = 25_000_000 in
-  let bp, _ = Blink.broadcast ~chunk_elems:262_144 h ~elems in
-  let blink = Blink.algbw_gbps ~elems (Blink.time h bp) in
+  let bp, _ = compiled Plan.Broadcast ~chunk_elems:262_144 h ~elems in
+  let blink = Blink.algbw_gbps ~elems (time h bp) in
   let ch = Blink_baselines.Ring.nccl_channels Server.dgx1v ~gpus in
   Alcotest.(check bool) "nccl falls to pcie" true
     (ch.Blink_baselines.Ring.cls = Blink_topology.Fabric.Pcie);
@@ -162,7 +172,7 @@ let test_facade_beats_pcie_fallback () =
     Blink_collectives.Codegen.spec ~chunk_elems:262_144 (Blink.fabric h)
   in
   let np, _ = Blink_baselines.Ring.broadcast spec ~root:(Blink.root h) ~elems ~channels:ch in
-  let nccl = Blink.algbw_gbps ~elems (Blink.time h np) in
+  let nccl = Blink.algbw_gbps ~elems (time h np) in
   Alcotest.(check bool)
     (Printf.sprintf "blink %.1f >= 3x nccl %.1f" blink nccl)
     true
@@ -286,10 +296,10 @@ let test_hybrid_never_slower () =
       let gpus = Blink_collectives.Micro.chain_gpus n in
       let h = Blink.create Server.dgx1v ~gpus in
       let elems = 25_000_000 in
-      let np, _ = Blink.broadcast h ~elems in
+      let np, _ = compiled Plan.Broadcast ~chunk_elems:262_144 h ~elems in
       let hp, _ = Hybrid.broadcast h ~elems in
-      let t_nv = (Blink.time h np).E.makespan in
-      let t_hy = (Blink.time h hp).E.makespan in
+      let t_nv = (time h np).E.makespan in
+      let t_hy = (time h hp).E.makespan in
       Alcotest.(check bool)
         (Printf.sprintf "%d gpus: hybrid %.2fms <= nvlink %.2fms * 1.02" n
            (t_hy *. 1e3) (t_nv *. 1e3))

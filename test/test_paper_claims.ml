@@ -11,6 +11,13 @@ module Ring = Blink_baselines.Ring
 module Dbtree = Blink_baselines.Dbtree
 module Codegen = Blink_collectives.Codegen
 module E = Blink_sim.Engine
+module Plan = Blink_core.Plan
+
+(* Blink's program and layout for one collective, compiled through the
+   handle's plan cache. *)
+let compiled collective ~chunk_elems h ~elems =
+  let plan = Blink.plan ~chunk_elems h collective ~elems in
+  (plan.Plan.program, plan.Plan.layout)
 
 let elems = 25_000_000 (* 100 MB *)
 let chunk = 262_144
@@ -34,10 +41,10 @@ let sweep server collective =
       let blink_prog, nccl_prog =
         match collective with
         | `Broadcast ->
-            ( fst (Blink.broadcast ~chunk_elems:chunk handle ~elems),
+            ( fst (compiled Plan.Broadcast ~chunk_elems:chunk handle ~elems),
               fst (Ring.broadcast spec ~root:(Blink.root handle) ~elems ~channels) )
         | `All_reduce ->
-            ( fst (Blink.all_reduce ~chunk_elems:chunk handle ~elems),
+            ( fst (compiled Plan.All_reduce ~chunk_elems:chunk handle ~elems),
               fst (Ring.all_reduce spec ~elems ~channels) )
       in
       let speedup = gbps blink_prog fabric /. gbps nccl_prog fabric in
@@ -99,7 +106,9 @@ let test_dgx2_latency_claims () =
       let chunk = max 256 (elems / 16) in
       let spec = Codegen.spec ~chunk_elems:chunk fabric in
       let lat prog = (E.run ~resources:(Fabric.resources fabric) prog).E.makespan in
-      let blink = lat (fst (Blink.all_reduce ~chunk_elems:chunk handle ~elems)) in
+      let blink =
+        lat (fst (compiled Plan.All_reduce ~chunk_elems:chunk handle ~elems))
+      in
       let dbt = lat (fst (Dbtree.all_reduce spec ~elems)) in
       let ring = lat (fst (Ring.all_reduce spec ~elems ~channels:rings)) in
       let ratio = Float.min dbt ring /. blink in
@@ -114,7 +123,9 @@ let test_hybrid_claims () =
     let gpus = Blink_collectives.Micro.chain_gpus n in
     let handle = Blink.create Server.dgx1v ~gpus in
     let fabric = Blink.fabric handle in
-    let nv = gbps (fst (Blink.broadcast ~chunk_elems:chunk handle ~elems)) fabric in
+    let nv =
+      gbps (fst (compiled Plan.Broadcast ~chunk_elems:chunk handle ~elems)) fabric
+    in
     let hy =
       gbps (fst (Blink_core.Hybrid.broadcast ~chunk_elems:chunk handle ~elems)) fabric
     in

@@ -16,6 +16,15 @@ module Threephase = Blink_collectives.Threephase
 module Subtree = Blink_collectives.Subtree
 module E = Blink_sim.Engine
 
+(* Blink's program and layout for one collective, compiled through the
+   handle's plan cache. *)
+let compiled collective ~chunk_elems h ~elems =
+  let plan = Blink.plan ~chunk_elems h collective ~elems in
+  (plan.Plan.program, plan.Plan.layout)
+
+let time h prog =
+  E.run ~resources:(Blink_topology.Fabric.resources (Blink.fabric h)) prog
+
 (* ------------------------------------------------------------------ *)
 (* Pool mechanics *)
 
@@ -186,8 +195,8 @@ let test_hybrid_deterministic () =
       let par = Hybrid.broadcast ~pool ~chunk_elems:8_192 handle ~elems in
       check_same_program "hybrid broadcast" seq par;
       Alcotest.(check (float 0.)) "identical makespan"
-        (Blink.time handle (fst seq)).E.makespan
-        (Blink.time handle (fst par)).E.makespan)
+        (time handle (fst seq)).E.makespan
+        (time handle (fst par)).E.makespan)
 
 let keys =
   [ (Plan.All_reduce, 4_096); (Plan.Broadcast, 4_096);
@@ -289,7 +298,35 @@ let test_prewarm_async_equivalent () =
   let job = Blink.prewarm_async b keys in
   Alcotest.(check int) "eager path builds the same count" seq_built
     (Blink.prewarm_await b job);
-  check_same_warm_state "eager" b seq
+  check_same_warm_state "eager" b seq;
+  (* A plan cached at the chunk the tuner will choose, before its size
+     class is tuned: the async job cannot know the key is cached and
+     builds it, but awaiting must count only what it inserts. *)
+  let elems = 4_096 in
+  let chunk = Blink.tuned_chunk (Blink.create Server.dgx1v ~gpus) ~elems in
+  let counts label run =
+    let h = Blink.create Server.dgx1v ~gpus in
+    let inserted = run h in
+    let st = Blink.store_stats (Blink.store h) in
+    Alcotest.(check (list int)) label [ 0; 1; 1 ]
+      [ inserted; (Blink.plan_cache_stats h).Blink.misses;
+        st.Blink_store.Store.misses ]
+  in
+  let preplanned h =
+    ignore (Blink.plan ~chunk_elems:chunk h Plan.All_reduce ~elems)
+  in
+  let key = [ (Plan.All_reduce, elems) ] in
+  counts "prewarm after plan" (fun h ->
+      preplanned h;
+      Blink.prewarm h key);
+  counts "async after plan" (fun h ->
+      preplanned h;
+      Blink.prewarm_await h (Blink.prewarm_async h key));
+  (* A plan call landing between submit and await inserts the key first. *)
+  counts "plan between async and await" (fun h ->
+      let job = Blink.prewarm_async h [ (Plan.Broadcast, elems) ] in
+      ignore (Blink.plan h Plan.Broadcast ~elems);
+      Blink.prewarm_await h job)
 
 let test_prewarm_async_guards () =
   let gpus = [| 1; 4; 5; 6 |] in
@@ -319,8 +356,8 @@ let test_treegen_repack_deterministic () =
     List.init 2 (fun _ ->
         let h = Blink.create Server.dgx1v ~gpus in
         let packing = Option.get (Blink.undirected_packing h) in
-        let prog, _ = Blink.all_reduce ~chunk_elems:4_096 h ~elems:100_000 in
-        (packing, prog, (Blink.time h prog).E.makespan))
+        let prog, _ = compiled Plan.All_reduce ~chunk_elems:4_096 h ~elems:100_000 in
+        (packing, prog, (time h prog).E.makespan))
   in
   match runs with
   | [ (pack_a, prog_a, mk_a); (pack_b, prog_b, mk_b) ] ->
