@@ -1,7 +1,7 @@
 (* One function per figure of the paper's evaluation; each prints the rows
    or series the paper plots. EXPERIMENTS.md records paper-vs-measured. *)
 
-open Util
+open Blink_suites.Util
 module Server = Blink_topology.Server
 module Fabric = Blink_topology.Fabric
 module Alloc = Blink_topology.Alloc

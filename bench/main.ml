@@ -2,8 +2,11 @@
    the paper's evaluation (see EXPERIMENTS.md for paper-vs-measured) and
    finishes with Bechamel micro-benchmarks of the planning and simulation
    hot paths. `dune exec bench/main.exe -- fig15` runs a single target;
-   `-- list` enumerates them. *)
+   `-- list` enumerates them. The measurement suites shared with the
+   `blink` CLI live in suites.ml; this file adds their artifacts and
+   gates. *)
 
+open Blink_suites
 module Server = Blink_topology.Server
 module Blink = Blink_core.Blink
 module Codegen = Blink_collectives.Codegen
@@ -83,10 +86,7 @@ let plan_cache_suite () =
   Util.heading "Plan cache: %dx Comm.all_reduce of %d elems on gpus {1,4,5,6}"
     iters elems;
   let c = Comm.init Server.dgx1v ~gpus:[| 1; 4; 5; 6 |] in
-  let inputs =
-    Array.init 4 (fun r ->
-        Array.init elems (fun i -> Float.of_int (((i * 3) + (r * 7)) mod 11)))
-  in
+  let inputs = Array.init 4 (fun rank -> Suites.rank_input ~rank ~elems) in
   let wall f =
     let t0 = Sys.time () in
     let x = f () in
@@ -396,20 +396,7 @@ let replay_suite () =
     "Replay: %dx per-collective re-execution of %d elems on gpus {1,4,5,6}"
     iters elems;
   let handle = Blink.create Server.dgx1v ~gpus:[| 1; 4; 5; 6 |] in
-  let inputs =
-    Array.init 4 (fun r ->
-        Array.init elems (fun i -> Float.of_int (((i * 3) + (r * 7)) mod 11)))
-  in
-  let wall_and_words f =
-    let t0 = Unix.gettimeofday () in
-    let w0 = Gc.minor_words () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    let dw = Gc.minor_words () -. w0 in
-    let dt = Unix.gettimeofday () -. t0 in
-    (dt /. Float.of_int iters, dw /. Float.of_int iters)
-  in
+  let inputs = Array.init 4 (fun rank -> Suites.rank_input ~rank ~elems) in
   let collectives =
     [
       Plan.All_reduce;
@@ -431,35 +418,22 @@ let replay_suite () =
         let plan = Blink.plan handle collective ~elems in
         let prog = plan.Plan.program and resources = plan.Plan.resources in
         let layout = plan.Plan.layout in
-        let load mem (l : Codegen.layout) =
-          Array.iteri
-            (fun r buf -> Sem.write mem ~node:r ~buf:l.Codegen.data.(r) buf)
-            inputs
-        in
-        let load_ref rmem =
-          Array.iteri
-            (fun r buf ->
-              Sem.Ref.write rmem ~node:r ~buf:layout.Codegen.data.(r) buf)
-            inputs
-        in
         let seed_exec () =
           ignore (E.run ~resources prog);
           let rmem = Sem.Ref.memory_of_program prog in
-          load_ref rmem;
+          Array.iteri
+            (fun r buf ->
+              Sem.Ref.write rmem ~node:r ~buf:layout.Codegen.data.(r) buf)
+            inputs;
           Sem.Ref.run prog rmem
         in
-        let prep_exec () = ignore (Plan.execute ~load plan) in
-        let seed_timing () = ignore (E.run ~resources prog) in
-        let prep_timing () = ignore (Plan.execute ~data:false plan) in
-        (* One warm round each so first-touch costs (kernel compilation,
-           pool sizing, page faults) don't land in either measurement. *)
-        seed_exec ();
-        prep_exec ();
-        prep_timing ();
-        let seed_s, seed_w = wall_and_words seed_exec in
-        let prep_s, prep_w = wall_and_words prep_exec in
-        let seed_t_s, seed_t_w = wall_and_words seed_timing in
-        let prep_t_s, prep_t_w = wall_and_words prep_timing in
+        let steady = Suites.steady_state ~runs:iters in
+        let seed = steady seed_exec in
+        let prep = Suites.replay ~runs:iters ~data:true plan in
+        let seed_t = steady (fun () -> ignore (E.run ~resources prog)) in
+        let prep_t = Suites.replay ~runs:iters ~data:false plan in
+        let seed_s = seed.Suites.wall_s and seed_w = seed.Suites.minor_words in
+        let prep_s = prep.Suites.wall_s and prep_w = prep.Suites.minor_words in
         (* Simulated makespan of the compiled plan: deterministic on any
            host, so the regression gate can diff it exactly. *)
         let sim_s = Plan.seconds (Plan.execute ~data:false plan) in
@@ -467,9 +441,9 @@ let replay_suite () =
            so the gate diffs them exactly — a drop in batching or a
            fused-chain count change is a planner regression even when
            wall clock hides it. *)
-        let prep = plan.Plan.prepared in
-        let fusion_on = E.fusion_enabled prep in
-        let f_chains = E.fused_chains prep and f_ops = E.fused_ops prep in
+        let prepared = plan.Plan.prepared in
+        let fusion_on = E.fusion_enabled prepared in
+        let f_chains = E.fused_chains prepared and f_ops = E.fused_ops prepared in
         let k_raw, k_compiled, _ =
           match plan.Plan.pool_mem with
           | Some mem -> Sem.kernel_stats mem prog
@@ -479,7 +453,7 @@ let replay_suite () =
         tot_fops := !tot_fops + f_ops;
         tot_kraw := !tot_kraw + k_raw;
         tot_kcomp := !tot_kcomp + k_compiled;
-        guard_worst := Float.max !guard_worst prep_t_w;
+        guard_worst := Float.max !guard_worst prep_t.Suites.minor_words;
         let speedup = if prep_s > 0. then seed_s /. prep_s else 0. in
         let alloc_ratio = if prep_w > 0. then seed_w /. prep_w else infinity in
         let name = Plan.collective_name collective in
@@ -497,10 +471,10 @@ let replay_suite () =
               ("seed_minor_words", Json.float seed_w);
               ("prepared_minor_words", Json.float prep_w);
               ("alloc_ratio", Json.float alloc_ratio);
-              ("seed_timing_wall_s", Json.float seed_t_s);
-              ("prepared_timing_wall_s", Json.float prep_t_s);
-              ("seed_timing_minor_words", Json.float seed_t_w);
-              ("prepared_timing_minor_words", Json.float prep_t_w);
+              ("seed_timing_wall_s", Json.float seed_t.Suites.wall_s);
+              ("prepared_timing_wall_s", Json.float prep_t.Suites.wall_s);
+              ("seed_timing_minor_words", Json.float seed_t.Suites.minor_words);
+              ("prepared_timing_minor_words", Json.float prep_t.Suites.minor_words);
               ("fusion_enabled", Json.Bool fusion_on);
               ("fused_chains", Json.int f_chains);
               ("fused_ops", Json.int f_ops);
@@ -528,9 +502,7 @@ let replay_suite () =
     (if guard_ok then "OK" else "FAIL");
   let tel = Blink.telemetry handle in
   let counter name = Blink_telemetry.Telemetry.counter_value tel name in
-  Util.row "  engine.prepares %d vs engine.runs %d (schedules are \
-            lowered once, replayed thereafter)\n"
-    (counter "engine.prepares") (counter "engine.runs");
+  Suites.print_engine_counters tel;
   Util.row "  fusion: %d chains covering %d ops; kernel tables %d raw -> \
             %d compiled across the six plans\n"
     !tot_chains !tot_fops !tot_kraw !tot_kcomp;
@@ -642,107 +614,57 @@ let failover_suite () =
   Util.heading
     "Failover: link fault injection + replanning, %d elems on dgx1v 8 gpus"
     elems;
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (Unix.gettimeofday () -. t0, x)
-  in
   let handle = Blink.create Server.dgx1v ~gpus in
-  let healthy_rate = Blink.all_reduce_rate handle in
+  let healthy_rate, healthy_s = Suites.healthy handle ~elems in
   let plan0 = Blink.plan handle Plan.All_reduce ~elems in
-  let healthy_s = Plan.seconds (Plan.execute ~data:false plan0) in
-  Util.row "  healthy: %.1f GB/s packing rate, %.3f ms simulated all_reduce\n"
-    healthy_rate (healthy_s *. 1e3);
-  (* Fail an NVLink the cached plan routes over; the mutation replans the
-     fabric and invalidates exactly the touching cache keys. *)
+  (* Cold pass: fail an NVLink the cached plan routes over (the mutation
+     invalidates exactly the touching cache keys), cross-check against a
+     handle born on the degraded fabric, then degrade a second link to
+     half rate on top of the loss. *)
   let u, v = List.hd (used_pairs plan0 ~gpus) in
-  let t_fail, () = wall (fun () -> Blink.fail_link ~replan:`Cold handle ~u ~v) in
-  let t_replan, plan1 =
-    wall (fun () -> Blink.plan handle Plan.All_reduce ~elems)
-  in
-  let degraded_rate = Blink.all_reduce_rate handle in
-  let degraded_s = Plan.seconds (Plan.execute ~data:false plan1) in
-  Util.row "  fail_link %d-%d: topology replan %.1f ms, key re-plan %.1f ms\n"
-    u v (t_fail *. 1e3) (t_replan *. 1e3);
-  Util.row "  degraded: %.1f GB/s packing rate, %.3f ms simulated all_reduce \
-            (%.1f%% of healthy)\n"
-    degraded_rate (degraded_s *. 1e3)
-    (100. *. healthy_s /. degraded_s);
-  (* A fresh handle created directly on the degraded fabric must agree
-     bit-for-bit — the replanned handle holds no stale state. *)
-  let fresh =
-    Blink.create ~link_faults:[ ((u, v), Server.Down) ] Server.dgx1v ~gpus
-  in
-  let fresh_s =
-    Plan.seconds
-      (Plan.execute ~data:false (Blink.plan fresh Plan.All_reduce ~elems))
-  in
-  let fresh_matches =
-    Blink.all_reduce_rate fresh = degraded_rate && fresh_s = degraded_s
-  in
-  Util.row "  fresh handle on degraded fabric: %.1f GB/s, %.3f ms — %s\n"
-    (Blink.all_reduce_rate fresh)
-    (fresh_s *. 1e3)
-    (if fresh_matches then "matches replanned handle exactly"
-     else "MISMATCH vs replanned handle");
-  (* Degrade a second link to half rate on top of the loss. *)
-  let u2, v2 = List.hd (used_pairs plan1 ~gpus) in
-  let t_degrade, () =
-    wall (fun () ->
-        Blink.degrade_link ~replan:`Cold handle ~u:u2 ~v:v2 ~factor:0.5)
-  in
-  let twice_rate = Blink.all_reduce_rate handle in
-  Util.row "  degrade_link %d-%d to 50%%: replan %.1f ms, %.1f GB/s\n" u2 v2
-    (t_degrade *. 1e3) twice_rate;
+  let step ~cold h fault = Suites.fault_step ~cold ~elems h fault in
+  let cold = step ~cold:true handle (Suites.Fail_link (u, v)) in
+  let fresh = Suites.cross_check ~cold:true ~elems handle in
+  let u2, v2 = List.hd (used_pairs cold.Suites.plan ~gpus) in
+  let twice = step ~cold:true handle (Suites.Degrade (u2, v2, 0.5)) in
+  Suites.print_fault_counters handle;
   (* Incremental replanning: the same fault sequence on a handle that
      keeps surviving trees and re-packs only the displaced flow (warm),
      and on a handle whose one-link-down plan was prewarmed as a
      background contingency (failover = a fingerprint swap). *)
   let warm = Blink.create Server.dgx1v ~gpus in
   ignore (Blink.plan warm Plan.All_reduce ~elems);
-  let t_warm_fail, () = wall (fun () -> Blink.fail_link warm ~u ~v) in
-  let warm_rate = Blink.all_reduce_rate warm in
-  ignore (Blink.plan warm Plan.All_reduce ~elems);
-  let t_warm_degrade, () =
-    wall (fun () -> Blink.degrade_link warm ~u:u2 ~v:v2 ~factor:0.5)
-  in
-  let warm_rate_equals_cold = warm_rate = degraded_rate in
-  Util.row
-    "  warm replan: fail %.1f ms (%.1fx vs cold), degrade %.1f ms (%.1fx), \
-     %.1f GB/s%s\n"
-    (t_warm_fail *. 1e3)
-    (t_fail /. t_warm_fail)
-    (t_warm_degrade *. 1e3)
-    (t_degrade /. t_warm_degrade)
-    warm_rate
-    (if warm_rate_equals_cold then " (= cold rate)" else "");
+  let warm_fail = step ~cold:false warm (Suites.Fail_link (u, v)) in
+  let warm_degrade = step ~cold:false warm (Suites.Degrade (u2, v2, 0.5)) in
+  let warm_rate_equals_cold = warm_fail.Suites.rate_gbps = cold.Suites.rate_gbps in
+  Util.row "warm vs cold: fail %.1fx faster, degrade %.1fx faster%s\n"
+    (cold.Suites.replan_s /. warm_fail.Suites.replan_s)
+    (twice.Suites.replan_s /. warm_degrade.Suites.replan_s)
+    (if warm_rate_equals_cold then " (fail: = cold rate)" else "");
   let cont = Blink.create Server.dgx1v ~gpus in
   ignore (Blink.plan cont Plan.All_reduce ~elems);
-  let t_prewarm, prewarmed =
-    wall (fun () ->
-        Blink.prewarm ~contingencies:(`Pairs [ (u, v) ]) cont
-          [ (Plan.All_reduce, elems) ])
+  let t0 = Unix.gettimeofday () in
+  let prewarmed =
+    Blink.prewarm ~contingencies:(`Pairs [ (u, v) ]) cont
+      [ (Plan.All_reduce, elems) ]
   in
-  let t_cont, () = wall (fun () -> Blink.fail_link cont ~u ~v) in
-  let cont_plan = Blink.plan cont Plan.All_reduce ~elems in
-  let cont_rate = Blink.all_reduce_rate cont in
-  let cont_s = Plan.seconds (Plan.execute ~data:false cont_plan) in
-  let contingency_matches = cont_rate = degraded_rate && cont_s = degraded_s in
+  let t_prewarm = Unix.gettimeofday () -. t0 in
+  Util.row "contingency: prewarmed %d plans in %.1f ms\n" prewarmed
+    (t_prewarm *. 1e3);
+  let contingency = step ~cold:false cont (Suites.Fail_link (u, v)) in
+  let contingency_matches =
+    contingency.Suites.rate_gbps = cold.Suites.rate_gbps
+    && contingency.Suites.all_reduce_s = cold.Suites.all_reduce_s
+  in
   let cont_hits =
     Blink_telemetry.Telemetry.counter_value (Blink.telemetry cont)
       "plan.contingency.hits"
   in
-  Util.row
-    "  contingency: prewarm %.1f ms (%d plans), failover %.2f ms, %.1f GB/s \
-     — %s\n"
-    (t_prewarm *. 1e3) prewarmed (t_cont *. 1e3) cont_rate
+  Util.row "contingency plan %s\n"
     (if contingency_matches then "matches the cold replan exactly"
      else "MISMATCH vs cold replan");
   let tel = Blink.telemetry handle in
   let counter name = Blink_telemetry.Telemetry.counter_value tel name in
-  Util.row "  counters: fault.injected %d, plan.cache.invalidations %d\n"
-    (counter "fault.injected")
-    (counter "plan.cache.invalidations");
   (* Mid-run fault model: replay the healthy compiled plan with a flaky
      window on its first transfer link — ops retry with backoff and the
      run completes late instead of wedging. *)
@@ -760,7 +682,7 @@ let failover_suite () =
       ~events:[ Fault.Flaky { res = !link; from_s = 0.; until_s = clean_s /. 2. } ]
       plan0.Plan.program
   in
-  Util.row "  mid-run flaky link %d: %d retries over %d faulted ops, %.3f ms \
+  Util.row "mid-run flaky link %d: %d retries over %d faulted ops, %.3f ms \
             -> %.3f ms\n"
     !link flaky.Fault.retries flaky.Fault.faulted_ops (clean_s *. 1e3)
     (flaky.Fault.timing.E.makespan *. 1e3);
@@ -771,39 +693,36 @@ let failover_suite () =
     match Blink.fail_link island ~u:1 ~v:5 with
     | () -> None
     | exception Blink.Partitioned { alive; unreachable } ->
-        Util.row
-          "  partition on {1,4,5,6} - link 1-5: alive {%s}, unreachable {%s}\n"
-          (String.concat "," (List.map string_of_int alive))
-          (String.concat "," (List.map string_of_int unreachable));
+        Suites.print_partition island ~alive ~unreachable;
         Some (alive, unreachable)
   in
   if partition = None then
-    Util.row "  partition on {1,4,5,6} - link 1-5: NOT DETECTED (bug)\n";
+    Util.row "partition on {1,4,5,6} - link 1-5: NOT DETECTED (bug)\n";
   Util.write_bench_json ~file:"BENCH_failover.json" ~suite:"failover"
     [
             ("elems", Json.int elems);
             ("healthy_rate_gbps", Json.float healthy_rate);
             ("healthy_all_reduce_s", Json.float healthy_s);
             ("failed_link", Json.List [ Json.int u; Json.int v ]);
-            ("topology_replan_s", Json.float t_fail);
-            ("key_replan_s", Json.float t_replan);
-            ("degraded_rate_gbps", Json.float degraded_rate);
-            ("degraded_all_reduce_s", Json.float degraded_s);
-            ("fresh_handle_rate_gbps", Json.float (Blink.all_reduce_rate fresh));
-            ("fresh_handle_all_reduce_s", Json.float fresh_s);
-            ("fresh_matches_replanned", Json.Bool fresh_matches);
+            ("topology_replan_s", Json.float cold.Suites.replan_s);
+            ("key_replan_s", Json.float cold.Suites.key_plan_s);
+            ("degraded_rate_gbps", Json.float cold.Suites.rate_gbps);
+            ("degraded_all_reduce_s", Json.float cold.Suites.all_reduce_s);
+            ("fresh_handle_rate_gbps", Json.float fresh.Suites.fresh_rate_gbps);
+            ("fresh_handle_all_reduce_s", Json.float fresh.Suites.fresh_all_reduce_s);
+            ("fresh_matches_replanned", Json.Bool fresh.Suites.matches);
             ("degraded_link", Json.List [ Json.int u2; Json.int v2 ]);
-            ("degrade_replan_s", Json.float t_degrade);
-            ("double_fault_rate_gbps", Json.float twice_rate);
-            ("warm_replan_s", Json.float t_warm_fail);
-            ("warm_degrade_replan_s", Json.float t_warm_degrade);
-            ("warm_rate_gbps", Json.float warm_rate);
+            ("degrade_replan_s", Json.float twice.Suites.replan_s);
+            ("double_fault_rate_gbps", Json.float twice.Suites.rate_gbps);
+            ("warm_replan_s", Json.float warm_fail.Suites.replan_s);
+            ("warm_degrade_replan_s", Json.float warm_degrade.Suites.replan_s);
+            ("warm_rate_gbps", Json.float warm_fail.Suites.rate_gbps);
             ("warm_rate_equals_cold", Json.Bool warm_rate_equals_cold);
-            ("replan_speedup_vs_cold", Json.float (t_fail /. t_warm_fail));
+            ("replan_speedup_vs_cold", Json.float (cold.Suites.replan_s /. warm_fail.Suites.replan_s));
             ("contingency_prewarm_s", Json.float t_prewarm);
             ("contingency_prewarmed_plans", Json.int prewarmed);
-            ("contingency_replan_s", Json.float t_cont);
-            ("contingency_rate_gbps", Json.float cont_rate);
+            ("contingency_replan_s", Json.float contingency.Suites.replan_s);
+            ("contingency_rate_gbps", Json.float contingency.Suites.rate_gbps);
             ("contingency_matches_cold", Json.Bool contingency_matches);
             ("contingency_hits", Json.int cont_hits);
             ("faults_injected", Json.int (counter "fault.injected"));
@@ -826,7 +745,7 @@ let failover_suite () =
                 | Some (_, unreachable) -> List.map Json.int unreachable
                 | None -> []) );
     ];
-  if not fresh_matches then (
+  if not fresh.Suites.matches then (
     Printf.eprintf
       "failover: replanned handle diverges from a fresh handle on the \
        degraded fabric\n";
@@ -838,16 +757,17 @@ let failover_suite () =
      replan must land within 10x of a plan-cache re-plan, a contingency
      failover within 2x — and the contingency plan must be the cold plan
      (it was built cold, ahead of time, under the post-fault key). *)
-  if t_warm_fail > 10. *. t_replan then (
+  let t_replan = cold.Suites.key_plan_s in
+  if warm_fail.Suites.replan_s > 10. *. t_replan then (
     Printf.eprintf
       "failover: warm replan %.3f ms exceeds 10x key re-plan %.3f ms\n"
-      (t_warm_fail *. 1e3) (t_replan *. 1e3);
+      (warm_fail.Suites.replan_s *. 1e3) (t_replan *. 1e3);
     exit 1);
-  if t_cont > 2. *. t_replan then (
+  if contingency.Suites.replan_s > 2. *. t_replan then (
     Printf.eprintf
       "failover: contingency failover %.3f ms exceeds 2x key re-plan %.3f \
        ms\n"
-      (t_cont *. 1e3) (t_replan *. 1e3);
+      (contingency.Suites.replan_s *. 1e3) (t_replan *. 1e3);
     exit 1);
   if not contingency_matches then (
     Printf.eprintf
@@ -864,67 +784,15 @@ let failover_suite () =
 module Scheduler = Blink_cluster.Scheduler
 
 let cluster_suite () =
-  let n_jobs = 2_000 and servers = 64 in
+  let n_jobs = 2_000 and servers = 64 and verify_every = 50 in
   Util.heading
     "Cluster service: %d jobs on %d dgx1v servers, shared plan store" n_jobs
     servers;
   let r =
-    Scheduler.run_service ~servers ~verify_every:50 ~failover_drill:true
-      ~n_jobs ()
+    Scheduler.run_service ~servers ~verify_every ~failover_drill:true ~n_jobs ()
   in
+  Suites.print_service ~verify_every r;
   let st = r.Scheduler.store in
-  Util.row "  jobs: %d admitted, %d rejected (capacity), %d rejected (quota)\n"
-    r.Scheduler.admitted_jobs r.Scheduler.rejected_capacity_jobs
-    r.Scheduler.rejected_quota_jobs;
-  Util.row "  slices: %d planned, %d single-gpu, %d pcie-only\n"
-    r.Scheduler.planned_slices r.Scheduler.single_gpu_slices
-    r.Scheduler.pcie_slices;
-  Util.row "  store: %d hits / %d misses (%.1f%% hit rate), %d fingerprints, \
-            %d live plans\n"
-    st.Blink_store.Store.hits st.Blink_store.Store.misses
-    (100. *. r.Scheduler.hit_rate)
-    r.Scheduler.unique_fingerprints st.Blink_store.Store.entries;
-  Util.row "  throughput: %.0f jobs/s (%.2f s wall), fairness %.3f\n"
-    r.Scheduler.jobs_per_second r.Scheduler.wall_seconds r.Scheduler.fairness;
-  Util.row "  verification: %d sampled slices, %d mismatches\n"
-    r.Scheduler.verified_slices r.Scheduler.verify_mismatches;
-  (* Observatory: the per-tenant / per-fingerprint health view the
-     service snapshot exports. *)
-  Util.row "  observatory: %-6s %5s %18s %18s %10s\n" "tenant" "jobs"
-    "latency mean/p95" "queue mean/p95" "stragglers";
-  List.iter
-    (fun (o : Scheduler.tenant_observatory) ->
-      Util.row "               %-6d %5d %8.2f/%5.2f ms %9.2f/%5.2f ms %10d\n"
-        o.Scheduler.ob_tenant o.Scheduler.ob_jobs
-        (o.Scheduler.ob_latency.Scheduler.h_mean_s *. 1e3)
-        (o.Scheduler.ob_latency.Scheduler.h_p95_s *. 1e3)
-        (o.Scheduler.ob_queue_wait.Scheduler.h_mean_s *. 1e3)
-        (o.Scheduler.ob_queue_wait.Scheduler.h_p95_s *. 1e3)
-        o.Scheduler.ob_straggler_slices)
-    r.Scheduler.observatory;
-  List.iteri
-    (fun i (c : Scheduler.fingerprint_class) ->
-      if i < 5 then
-        Util.row "  class %-22s %5d slices, %6.1f GB/s mean (best %.1f), \
-                  %d stragglers\n"
-          c.Scheduler.fc_class c.Scheduler.fc_slices c.Scheduler.fc_mean_gbps
-          c.Scheduler.fc_best_gbps c.Scheduler.fc_stragglers)
-    r.Scheduler.classes;
-  Util.row "  stragglers: %d flagged slices (epsilon %.2f) on the healthy run\n"
-    r.Scheduler.straggler_slices r.Scheduler.straggler_epsilon;
-  (match r.Scheduler.drill with
-  | None -> Util.row "  failover drill: skipped (no point-to-point NVLinks)\n"
-  | Some d ->
-      let u, v = d.Scheduler.dr_link in
-      Util.row
-        "  failover drill (link %d-%d): cold %.1f ms, warm %.1f ms, \
-         contingency %.2f ms (prewarm %.1f ms, %d plans)\n"
-        u v
-        (d.Scheduler.dr_cold_replan_s *. 1e3)
-        (d.Scheduler.dr_warm_replan_s *. 1e3)
-        (d.Scheduler.dr_contingency_replan_s *. 1e3)
-        (d.Scheduler.dr_prewarm_s *. 1e3)
-        d.Scheduler.dr_prewarmed_plans);
   (* Straggler injection: tenant 3 runs every slice 2x slow; the
      observatory must flag it and the flags must concentrate there. *)
   let straggler_tenant = 3 in
@@ -940,7 +808,7 @@ let cluster_suite () =
            s.Scheduler.st_tenant = straggler_tenant)
          rs.Scheduler.stragglers)
   in
-  Util.row "  injected straggler (tenant %d, 2.0x): %d flagged slices, %d on \
+  Util.row "injected straggler (tenant %d, 2.0x): %d flagged slices, %d on \
             the injected tenant\n"
     straggler_tenant injected_flagged flagged_on_tenant;
   let tenant_obj (o : Scheduler.tenant_observatory) =
@@ -1068,53 +936,11 @@ let analyze_suite () =
   let elems = Util.elems_of_mb mbytes in
   Util.heading
     "Analyze: critical path vs edge-cut bound, %.0f MB on dgx1v 8 gpus" mbytes;
-  let handle = Blink.create Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
-  let collectives =
-    Plan.
-      [ All_reduce; Broadcast; Reduce; Gather; All_gather; Reduce_scatter ]
-  in
-  Util.row "  %-15s %11s %10s %10s %6s  %s\n" "collective" "makespan"
-    "achieved" "bound" "eff" "bottleneck";
-  let reports =
-    List.map
-      (fun collective ->
-        let r = Analysis.analyze handle collective ~elems in
-        let bottleneck =
-          match r.Analysis.bottlenecks with
-          | [] -> "-"
-          | ls ->
-              String.concat ", "
-                (List.filteri (fun i _ -> i < 2)
-                   (List.map (fun l -> l.Analysis.li_label) ls))
-              ^
-              if List.length ls > 2 then
-                Printf.sprintf " (+%d more)" (List.length ls - 2)
-              else ""
-        in
-        Util.row "  %-15s %8.2f ms %6.1f GB/s %6.1f GB/s %5.1f%%  %s\n"
-          (Plan.collective_name collective)
-          (r.Analysis.makespan_s *. 1e3)
-          r.Analysis.achieved_gbps r.Analysis.bound_gbps
-          (100. *. r.Analysis.efficiency)
-          bottleneck;
-        r)
-      collectives
+  let { Suites.reports; phases; _ } =
+    Suites.analyze ~server:Server.dgx1v ~gpus:(Array.init 8 Fun.id) ~mbytes
+      Plan.[ All_reduce; Broadcast; Reduce; Gather; All_gather; Reduce_scatter ]
   in
   let all_reduce = List.hd reports in
-  Util.row "  all_reduce critical path: %d ops, transfer %.2f ms, compute \
-            %.2f ms, delay %.2f ms, wait %.2f ms\n"
-    all_reduce.Analysis.critical_ops
-    (all_reduce.Analysis.transfer_s *. 1e3)
-    (all_reduce.Analysis.compute_s *. 1e3)
-    (all_reduce.Analysis.delay_s *. 1e3)
-    (all_reduce.Analysis.wait_s *. 1e3);
-  let phases = Analysis.phases handle in
-  List.iter
-    (fun (p : Analysis.phase) ->
-      Util.row "  phase %-20s %4d calls %10.2f ms\n" p.Analysis.phase
-        p.Analysis.calls
-        (p.Analysis.total_s *. 1e3))
-    phases;
   Util.write_bench_json ~file:"BENCH_analyze.json" ~suite:"analyze"
     [
       ("mbytes", Json.float mbytes);
@@ -1151,49 +977,30 @@ module Planner = Blink_core.Planner
    LP-flow's column generation legitimately beats TreeGen's MWU+ILP by
    ~6% achieved AllReduce (the fault breaks the symmetry MWU exploits) —
    exactly the kind of planner gap the tournament exists to surface. *)
-let tournament_topologies =
+let tournament_fabrics =
+  let fabric ?(faults = []) ?(gated = true) name server gpus =
+    (name, gated, server, gpus, faults)
+  in
   [
-    ("dgx1v-8", Server.dgx1v, Array.init 8 Fun.id, [], `Gated);
-    ("dgx1p-8", Server.dgx1p, Array.init 8 Fun.id, [], `Gated);
-    ("dgx1v-quad", Server.dgx1v, [| 1; 4; 5; 6 |], [], `Gated);
-    ( "dgx1v-8-degraded",
-      Server.dgx1v,
-      Array.init 8 Fun.id,
-      [ ((2, 3), Server.Down) ],
-      `Ungated );
+    fabric "dgx1v-8" Server.dgx1v (Array.init 8 Fun.id);
+    fabric "dgx1p-8" Server.dgx1p (Array.init 8 Fun.id);
+    fabric "dgx1v-quad" Server.dgx1v [| 1; 4; 5; 6 |];
+    fabric "dgx1v-8-degraded" Server.dgx1v (Array.init 8 Fun.id)
+      ~faults:[ ((2, 3), Server.Down) ] ~gated:false;
   ]
-
-(* Element-exact AllReduce differential: slab semantics vs the float-array
-   reference, over every buffer of the compiled program. *)
-let tournament_data_correct handle =
-  let elems = 2_048 in
-  let plan = Blink.plan ~chunk_elems:512 handle Plan.All_reduce ~elems in
-  let prog = plan.Plan.program in
-  let layout = plan.Plan.layout in
-  let k = Array.length layout.Codegen.data in
-  let mem = Sem.memory_of_program prog in
-  let rmem = Sem.Ref.memory_of_program prog in
-  for r = 0 to k - 1 do
-    let values =
-      Array.init elems (fun i -> Float.of_int (((i * 3) + (r * 7)) mod 11))
-    in
-    Sem.write mem ~node:r ~buf:layout.Codegen.data.(r) values;
-    Sem.Ref.write rmem ~node:r ~buf:layout.Codegen.data.(r) values
-  done;
-  Sem.run prog mem;
-  Sem.Ref.run prog rmem;
-  List.for_all
-    (fun (node, buf, _len) ->
-      Sem.Ref.read rmem ~node ~buf = Sem.read mem ~node ~buf)
-    (Program.buffers prog)
 
 let tournament_suite () =
   let mbytes = 100. in
-  let backends = Planner.all () in
   Util.heading "Tournament: %d planner backends x %d topologies, %.0f MB"
-    (List.length backends)
-    (List.length tournament_topologies)
+    (List.length (Planner.all ()))
+    (List.length tournament_fabrics)
     mbytes;
+  let results =
+    List.map
+      (fun (name, gated, server, gpus, faults) ->
+        (name, gated, Suites.tournament ~mbytes ~faults server ~gpus))
+      tournament_fabrics
+  in
   let packing_fields prefix g = function
     | None -> [ (prefix ^ "_trees", Json.Null); (prefix ^ "_rate", Json.Null) ]
     | Some (p : Treegen.packing) ->
@@ -1204,58 +1011,18 @@ let tournament_suite () =
           (prefix ^ "_feasible", Json.Bool (Treegen.feasible g p));
         ]
   in
-  let results =
-    List.map
-      (fun (topo, server, gpus, faults, gated) ->
-        Util.row "  %-17s %-11s %8s %8s %6s %6s %9s %5s %5s\n" topo "backend"
-          "bcast" "allred" "btrees" "atrees" "plan-ms" "feas" "data";
-        let rows =
-          List.map
-            (fun b ->
-              let t0 = Unix.gettimeofday () in
-              let handle =
-                match faults with
-                | [] -> Blink.create ~planner:b server ~gpus
-                | fs -> Blink.create ~planner:b ~link_faults:fs server ~gpus
-              in
-              let plan_s = Unix.gettimeofday () -. t0 in
-              let g = Blink.graph handle in
-              let directed = Blink.packing handle in
-              let undirected = Blink.undirected_packing handle in
-              let feasible =
-                List.for_all
-                  (function
-                    | None -> false | Some p -> Treegen.feasible g p)
-                  [ directed; undirected ]
-              in
-              let data_ok = tournament_data_correct handle in
-              let bcast = Util.blink_broadcast ~mbytes handle in
-              let allred = Util.blink_all_reduce ~mbytes handle in
-              let trees = function
-                | None -> 0
-                | Some p -> List.length p.Treegen.trees
-              in
-              Util.row
-                "  %-17s %-11s %6.1f %8.1f %6d %6d %9.1f %5b %5b\n" ""
-                (Planner.name b) bcast allred (trees directed)
-                (trees undirected) (plan_s *. 1e3) feasible data_ok;
-              ( Planner.name b,
-                Json.Obj
-                  ([
-                     ("backend", Json.str (Planner.name b));
-                     ("plan_wall_s", Json.float plan_s);
-                     ("broadcast_gbps", Json.float bcast);
-                     ("all_reduce_gbps", Json.float allred);
-                     ("feasible", Json.Bool feasible);
-                     ("data_correct", Json.Bool data_ok);
-                   ]
-                  @ packing_fields "broadcast" g directed
-                  @ packing_fields "all_reduce" g undirected),
-                (feasible, data_ok, allred) ))
-            backends
-        in
-        (topo, gated, rows))
-      tournament_topologies
+  let entry_json (e : Suites.entry) =
+    Json.Obj
+      ([
+         ("backend", Json.str e.Suites.backend);
+         ("plan_wall_s", Json.float e.Suites.plan_s);
+         ("broadcast_gbps", Json.float e.Suites.broadcast_gbps);
+         ("all_reduce_gbps", Json.float e.Suites.all_reduce_gbps);
+         ("feasible", Json.Bool e.Suites.feasible);
+         ("data_correct", Json.Bool e.Suites.data_correct);
+       ]
+      @ packing_fields "broadcast" e.Suites.graph e.Suites.directed
+      @ packing_fields "all_reduce" e.Suites.graph e.Suites.undirected)
   in
   Util.write_bench_json ~file:"BENCH_tournament.json" ~suite:"tournament"
     [
@@ -1263,57 +1030,55 @@ let tournament_suite () =
       ( "topologies",
         Json.List
           (List.map
-             (fun (topo, gated, rows) ->
+             (fun (name, gated, entries) ->
                Json.Obj
                  [
-                   ("name", Json.str topo);
-                   ("gated", Json.Bool (gated = `Gated));
-                   ( "backends",
-                     Json.List (List.map (fun (_, json, _) -> json) rows) );
+                   ("name", Json.str name);
+                   ("gated", Json.Bool gated);
+                   ("backends", Json.List (List.map entry_json entries));
                  ])
              results) );
     ];
   (* Gate 1: the differential check holds for every backend everywhere. *)
   let bad =
     List.concat_map
-      (fun (topo, _, rows) ->
+      (fun (name, _, entries) ->
         List.filter_map
-          (fun (name, _, (feasible, data_ok, _)) ->
-            if feasible && data_ok then None
-            else Some (topo, name, feasible, data_ok))
-          rows)
+          (fun (e : Suites.entry) ->
+            if e.Suites.feasible && e.Suites.data_correct then None
+            else Some (name, e))
+          entries)
       results
   in
   List.iter
-    (fun (topo, name, feasible, data_ok) ->
+    (fun (topo, (e : Suites.entry)) ->
       Printf.eprintf
         "tournament: %s on %s failed the differential check (feasible=%b \
          data_correct=%b)\n"
-        name topo feasible data_ok)
+        e.Suites.backend topo e.Suites.feasible e.Suites.data_correct)
     bad;
   if bad <> [] then exit 1;
   (* Gate 2: TreeGen within 5% of the best backend's achieved AllReduce
-     rate on every (DGX-1) topology. *)
+     rate on every gated (healthy DGX-1) topology. *)
   let laggards =
     List.filter_map
-      (fun (topo, gated, rows) ->
-        if gated <> `Gated then None
+      (fun (name, gated, entries) ->
+        if not gated then None
         else
-        let rate name =
-          List.find_map
-            (fun (n, _, (_, _, r)) ->
-              if String.equal n name then Some r else None)
-            rows
-        in
-        match rate "treegen" with
-        | None -> Some (topo, 0., 0.)
-        | Some tg ->
-            let best =
-              List.fold_left
-                (fun acc (_, _, (_, _, r)) -> Float.max acc r)
-                0. rows
-            in
-            if tg < 0.95 *. best then Some (topo, tg, best) else None)
+          let best =
+            List.fold_left
+              (fun acc (e : Suites.entry) -> Float.max acc e.Suites.all_reduce_gbps)
+              0. entries
+          in
+          match
+            List.find_opt
+              (fun (e : Suites.entry) -> String.equal e.Suites.backend "treegen")
+              entries
+          with
+          | None -> Some (name, 0., 0.)
+          | Some e ->
+              let tg = e.Suites.all_reduce_gbps in
+              if tg < 0.95 *. best then Some (name, tg, best) else None)
       results
   in
   List.iter
@@ -1645,134 +1410,76 @@ let copy_file src dst =
   output_string oc s;
   close_out oc
 
+(* Every artifact-writing suite: target name, the BENCH_<artifact>.json it
+   writes, and its body. A suite that dies on an uncaught exception
+   before its own write still leaves a stub artifact behind (the in-suite
+   gates already write first, then exit 1). *)
+let suites =
+  [
+    ("plan-cache", "plan_cache", plan_cache_suite);
+    ("parallel-plan", "parallel_plan", parallel_plan_suite);
+    ("overlap", "overlap", overlap_suite);
+    ("replay", "replay", replay_suite);
+    ("kernels", "kernels", kernels_suite);
+    ("failover", "failover", failover_suite);
+    ("cluster", "cluster", cluster_suite);
+    ("analyze", "analyze", analyze_suite);
+    ("tournament", "tournament", tournament_suite);
+  ]
+
+let run_suite (_, artifact, run) =
+  Util.guard_artifact ~file:(bench_file artifact) ~suite:artifact run
+
+(* The baselines are the artifacts of the suites the gate checks. *)
 let regen_baselines () =
   Util.heading "Regen baselines: live run -> %s" baseline_dir;
-  plan_cache_suite ();
-  parallel_plan_suite ();
-  overlap_suite ();
-  replay_suite ();
-  kernels_suite ();
-  failover_suite ();
-  cluster_suite ();
-  analyze_suite ();
+  let gated =
+    List.filter
+      (fun (_, artifact, _) ->
+        List.exists (fun spec -> spec.suite = artifact) check_specs)
+      suites
+  in
+  List.iter run_suite gated;
   if not (Sys.file_exists baseline_dir) then Sys.mkdir baseline_dir 0o755;
   Util.heading "Regen baselines: copying fresh artifacts";
   List.iter
-    (fun suite ->
-      let src = bench_file suite in
+    (fun (_, artifact, _) ->
+      let src = bench_file artifact in
       if Sys.file_exists src then begin
         copy_file src (Filename.concat baseline_dir src);
         Util.row "  %s -> %s/\n" src baseline_dir
       end)
-    [
-      "plan_cache"; "parallel_plan"; "overlap"; "replay"; "kernels";
-      "failover"; "cluster"; "analyze";
-    ]
+    gated
 
 (* ------------------------------------------------------------------ *)
 
-(* Abort insurance: each gated suite leaves at least a stub BENCH_*.json
-   behind if it dies on an uncaught exception before its own write (the
-   in-suite gates already write first, then exit 1). *)
-let plan_cache_suite =
-  let f = plan_cache_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_plan_cache.json" ~suite:"plan_cache" f
+let targets =
+  Figures.registry
+  @ List.map (fun ((name, _, _) as s) -> (name, fun () -> run_suite s)) suites
+  @ [
+      ("regress", regress_suite);
+      ("regress-selftest", regress_selftest);
+      ("regen-baselines", regen_baselines);
+      ("bechamel", bechamel_suite);
+    ]
 
-let parallel_plan_suite =
-  let f = parallel_plan_suite in
-  fun () ->
-    Util.guard_artifact ~file:"BENCH_parallel_plan.json" ~suite:"parallel_plan" f
-
-let overlap_suite =
-  let f = overlap_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_overlap.json" ~suite:"overlap" f
-
-let replay_suite =
-  let f = replay_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_replay.json" ~suite:"replay" f
-
-let kernels_suite =
-  let f = kernels_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_kernels.json" ~suite:"kernels" f
-
-let failover_suite =
-  let f = failover_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_failover.json" ~suite:"failover" f
-
-let cluster_suite =
-  let f = cluster_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_cluster.json" ~suite:"cluster" f
-
-let analyze_suite =
-  let f = analyze_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_analyze.json" ~suite:"analyze" f
-
-let tournament_suite =
-  let f = tournament_suite in
-  fun () ->
-    Util.guard_artifact ~file:"BENCH_tournament.json" ~suite:"tournament" f
+let all () =
+  Figures.all_figures ();
+  List.iter run_suite suites;
+  bechamel_suite ()
 
 let () =
   match Array.to_list Sys.argv with
   | _ :: [] ->
-      Figures.all_figures ();
-      plan_cache_suite ();
-      parallel_plan_suite ();
-      overlap_suite ();
-      replay_suite ();
-      kernels_suite ();
-      failover_suite ();
-      cluster_suite ();
-      analyze_suite ();
-      tournament_suite ();
-      bechamel_suite ();
+      all ();
       print_newline ()
   | _ :: args ->
       List.iter
-        (fun arg ->
-          match arg with
-          | "list" ->
-              List.iter (fun (name, _) -> print_endline name) Figures.registry;
-              print_endline "plan-cache";
-              print_endline "parallel-plan";
-              print_endline "overlap";
-              print_endline "replay";
-              print_endline "kernels";
-              print_endline "failover";
-              print_endline "cluster";
-              print_endline "analyze";
-              print_endline "tournament";
-              print_endline "regress";
-              print_endline "regress-selftest";
-              print_endline "regen-baselines";
-              print_endline "bechamel"
-          | "all" ->
-              Figures.all_figures ();
-              plan_cache_suite ();
-              parallel_plan_suite ();
-              overlap_suite ();
-              replay_suite ();
-              kernels_suite ();
-              failover_suite ();
-              cluster_suite ();
-              analyze_suite ();
-              tournament_suite ();
-              bechamel_suite ()
-          | "plan-cache" -> plan_cache_suite ()
-          | "parallel-plan" -> parallel_plan_suite ()
-          | "overlap" -> overlap_suite ()
-          | "replay" -> replay_suite ()
-          | "kernels" -> kernels_suite ()
-          | "failover" -> failover_suite ()
-          | "cluster" -> cluster_suite ()
-          | "analyze" -> analyze_suite ()
-          | "tournament" -> tournament_suite ()
-          | "regress" -> regress_suite ()
-          | "regress-selftest" -> regress_selftest ()
-          | "regen-baselines" -> regen_baselines ()
-          | "bechamel" -> bechamel_suite ()
+        (function
+          | "list" -> List.iter (fun (name, _) -> print_endline name) targets
+          | "all" -> all ()
           | name -> (
-              match List.assoc_opt name Figures.registry with
+              match List.assoc_opt name targets with
               | Some f -> f ()
               | None ->
                   Printf.eprintf

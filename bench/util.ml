@@ -38,29 +38,32 @@ let time_blink ~chunk_elems handle collective ~elems =
     .Plan.timing
 
 (* Blink vs NCCL measurements on one allocation. *)
-let blink_broadcast ?(mbytes = 500.) handle =
+let blink_gbps ?(mbytes = 500.) handle collective =
   let elems = elems_of_mb mbytes in
-  gbps ~elems
-    (time_blink ~chunk_elems:(chunk_for elems) handle Plan.Broadcast ~elems)
+  gbps ~elems (time_blink ~chunk_elems:(chunk_for elems) handle collective ~elems)
 
-let blink_all_reduce ?(mbytes = 500.) handle =
-  let elems = elems_of_mb mbytes in
-  gbps ~elems
-    (time_blink ~chunk_elems:(chunk_for elems) handle Plan.All_reduce ~elems)
+let blink_broadcast ?mbytes handle = blink_gbps ?mbytes handle Plan.Broadcast
+let blink_all_reduce ?mbytes handle = blink_gbps ?mbytes handle Plan.All_reduce
 
-let nccl_broadcast ?(mbytes = 500.) server ~gpus fabric =
+(* NCCL-style rings: Broadcast and Gather from [root], or AllReduce. *)
+let nccl_gbps ?(mbytes = 500.) ?(root = 0) server ~gpus fabric collective =
   let elems = elems_of_mb mbytes in
   let channels = Ring.nccl_channels server ~gpus in
   let spec = Codegen.spec ~chunk_elems:(chunk_for elems) fabric in
-  let prog, _ = Ring.broadcast spec ~root:0 ~elems ~channels in
+  let prog, _ =
+    match collective with
+    | Plan.Broadcast -> Ring.broadcast spec ~root ~elems ~channels
+    | Plan.All_reduce -> Ring.all_reduce spec ~elems ~channels
+    | Plan.Gather -> Ring.gather spec ~root ~elems ~channels
+    | c -> invalid_arg ("Util.nccl_gbps: no ring " ^ Plan.collective_name c)
+  in
   gbps ~elems (time_fabric fabric prog)
 
-let nccl_all_reduce ?(mbytes = 500.) server ~gpus fabric =
-  let elems = elems_of_mb mbytes in
-  let channels = Ring.nccl_channels server ~gpus in
-  let spec = Codegen.spec ~chunk_elems:(chunk_for elems) fabric in
-  let prog, _ = Ring.all_reduce spec ~elems ~channels in
-  gbps ~elems (time_fabric fabric prog)
+let nccl_broadcast ?mbytes server ~gpus fabric =
+  nccl_gbps ?mbytes server ~gpus fabric Plan.Broadcast
+
+let nccl_all_reduce ?mbytes server ~gpus fabric =
+  nccl_gbps ?mbytes server ~gpus fabric Plan.All_reduce
 
 (* Simulator-backed AllReduce cost functions for the training model. The
    Blink side goes through the handle's compiled-plan cache; the ring

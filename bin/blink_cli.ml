@@ -14,6 +14,7 @@
    $ blink tournament --server dgx1v --gpus 0,1,2,3,4,5,6,7 --mbytes 100 *)
 
 open Cmdliner
+open Blink_suites
 module Server = Blink_topology.Server
 module Alloc = Blink_topology.Alloc
 module Fabric = Blink_topology.Fabric
@@ -22,11 +23,9 @@ module Plan = Blink_core.Plan
 module Treegen = Blink_core.Treegen
 module Telemetry = Blink_telemetry.Telemetry
 module Ring = Blink_baselines.Ring
-module Codegen = Blink_collectives.Codegen
 module Models = Blink_dnn.Models
 module Training = Blink_dnn.Training
 module Scheduler = Blink_cluster.Scheduler
-module Analysis = Blink_core.Analysis
 module Recorder = Blink_sim.Recorder
 
 (* --------------------------- shared options --------------------------- *)
@@ -145,33 +144,24 @@ let collective_arg =
 
 let bench server gpus collective mbytes =
   let handle = Blink.create server ~gpus in
-  let elems = int_of_float (mbytes *. 1e6 /. Blink.bytes_per_elem) in
-  let chunk = Blink.heuristic_chunk ~elems in
-  let plan_collective =
+  let collective =
     match collective with
     | `Broadcast -> Plan.Broadcast
     | `All_reduce -> Plan.All_reduce
     | `Gather -> Plan.Gather
     | `All_gather -> Plan.All_gather
   in
-  let plan = Blink.plan ~chunk_elems:chunk handle plan_collective ~elems in
-  let blink =
-    Blink.algbw_gbps ~elems (Plan.execute ~data:false plan).Plan.timing
-  in
+  let blink = Util.blink_gbps ~mbytes handle collective in
   Format.printf "blink: %.1f GB/s@." blink;
   if server.Server.nvswitch = None then begin
-    let channels = Ring.nccl_channels server ~gpus in
-    let spec = Codegen.spec ~chunk_elems:chunk (Blink.fabric handle) in
-    let prog, _ =
-      match collective with
-      | `Broadcast -> Ring.broadcast spec ~root:(Blink.root handle) ~elems ~channels
-      | `All_reduce -> Ring.all_reduce spec ~elems ~channels
-      | `Gather | `All_gather -> Ring.gather spec ~root:(Blink.root handle) ~elems ~channels
+    (* AllGather's ring baseline is the gather ring. *)
+    let ring = if collective = Plan.All_gather then Plan.Gather else collective in
+    let nccl =
+      Util.nccl_gbps ~mbytes ~root:(Blink.root handle) server ~gpus
+        (Blink.fabric handle) ring
     in
-    let resources = Fabric.resources (Blink.fabric handle) in
-    let nccl = Blink.algbw_gbps ~elems (Blink_sim.Engine.run ~resources prog) in
     Format.printf "nccl-style rings (%s): %.1f GB/s   -> blink is %.2fx@."
-      (match channels.Ring.cls with
+      (match (Ring.nccl_channels server ~gpus).Ring.cls with
       | Fabric.Pcie -> "pcie fallback"
       | Fabric.Nv -> "nvlink"
       | Fabric.Net -> "network")
@@ -191,19 +181,8 @@ let model_arg =
 
 let train server gpus model =
   let handle = Blink.create server ~gpus in
-  let fabric = Blink.fabric handle in
-  let blink_backend = Training.plan_backend handle in
-  let channels = Ring.nccl_channels server ~gpus in
-  let nccl_backend =
-    Training.memoized_backend ~label:"nccl" (fun bytes ->
-        let elems = max 64 (int_of_float (bytes /. Training.bytes_per_elem)) in
-        let spec =
-          Codegen.spec ~chunk_elems:(Blink.heuristic_chunk ~elems) fabric
-        in
-        let prog, _ = Ring.all_reduce spec ~elems ~channels in
-        (Blink_sim.Engine.run ~resources:(Fabric.resources fabric) prog)
-          .Blink_sim.Engine.makespan)
-  in
+  let blink_backend = Util.blink_backend handle in
+  let nccl_backend = Util.nccl_backend server ~gpus (Blink.fabric handle) in
   let show label backend =
     let it = Training.iteration model backend in
     Format.printf "%-8s iteration %.1f ms (compute %.1f + exposed comm %.1f, overhead %.1f%%)@."
@@ -258,7 +237,7 @@ let small_mbytes_arg =
 let trace collective server gpus mbytes out =
   let telemetry = Telemetry.create ~trace:true () in
   let handle = Blink.create ~telemetry server ~gpus in
-  let elems = int_of_float (mbytes *. 1e6 /. Blink.bytes_per_elem) in
+  let elems = Util.elems_of_mb mbytes in
   let plan = Blink.plan handle collective ~elems in
   let exec = Plan.execute ~data:false plan in
   let result = exec.Plan.timing in
@@ -299,61 +278,14 @@ let trace_cmd =
    op chain, achieved rate vs the topology's edge-cut bound, and the
    planner's phase timers that decompose the replan cost. *)
 let analyze collective server gpus mbytes flight =
-  let telemetry = Telemetry.create () in
-  let handle = Blink.create ~telemetry server ~gpus in
-  let elems = int_of_float (mbytes *. 1e6 /. Blink.bytes_per_elem) in
-  let r = Analysis.analyze handle collective ~elems in
-  Format.printf "%s of %.0f MB on %s {%s}: makespan %.3f ms (chunk %d elems)@."
-    (Plan.collective_name collective)
-    mbytes server.Server.name
-    (Alloc.to_string (Array.to_list gpus))
-    (r.Analysis.makespan_s *. 1e3)
-    r.Analysis.chunk_elems;
-  Format.printf
-    "achieved %.1f GB/s vs %.1f GB/s edge-cut bound: %.1f%% of what the \
-     topology permits@."
-    r.Analysis.achieved_gbps r.Analysis.bound_gbps
-    (100. *. r.Analysis.efficiency);
-  Format.printf "bottleneck link(s), the run's rate-defining set:@.";
-  List.iter
-    (fun l ->
-      Format.printf "  %-22s %5.1f%% utilized, %.3f ms slack%s@."
-        l.Analysis.li_label
-        (100. *. l.Analysis.li_utilization)
-        (l.Analysis.li_slack_s *. 1e3)
-        (if l.Analysis.li_on_critical_path then "  [on critical path]" else ""))
-    r.Analysis.bottlenecks;
-  Format.printf
-    "critical path: %d ops — transfer %.3f ms, compute %.3f ms, delay %.3f \
-     ms, wait %.3f ms@."
-    r.Analysis.critical_ops
-    (r.Analysis.transfer_s *. 1e3)
-    (r.Analysis.compute_s *. 1e3)
-    (r.Analysis.delay_s *. 1e3)
-    (r.Analysis.wait_s *. 1e3);
-  List.iteri
-    (fun i (label, s) ->
-      if i < 3 then
-        Format.printf "  %d. %-22s %.3f ms on the chain@." (i + 1) label
-          (s *. 1e3))
-    r.Analysis.critical_resources;
-  (match Analysis.phases handle with
-  | [] -> ()
-  | phases ->
-      Format.printf "planner phases (this handle's replan cost, decomposed):@.";
-      List.iter
-        (fun (p : Analysis.phase) ->
-          Format.printf "  %-22s %2d call(s) %8.2f ms@." p.Analysis.phase
-            p.Analysis.calls
-            (p.Analysis.total_s *. 1e3))
-        phases);
+  let { Suites.handle; _ } = Suites.analyze ~server ~gpus ~mbytes [ collective ] in
   match flight with
   | None -> ()
   | Some path ->
       (* The cached plan's flight recorder was populated by the timing
          pass analyze just ran; replay it into a tracing registry and
          export the Chrome view. *)
-      let plan = Blink.plan handle collective ~elems in
+      let plan = Blink.plan handle collective ~elems:(Util.elems_of_mb mbytes) in
       let recorder = plan.Plan.recorder in
       let tracer = Telemetry.create ~trace:true () in
       let slices = Recorder.dump_slices recorder tracer in
@@ -390,7 +322,7 @@ let metrics collective server gpus mbytes runs out deterministic =
     else Telemetry.create ()
   in
   let handle = Blink.create ~telemetry server ~gpus in
-  let elems = int_of_float (mbytes *. 1e6 /. Blink.bytes_per_elem) in
+  let elems = Util.elems_of_mb mbytes in
   for _ = 1 to max 1 runs do
     let plan = Blink.plan handle collective ~elems in
     ignore (Plan.execute ~data:false plan)
@@ -430,51 +362,19 @@ let metrics_cmd =
    clock and minor-heap words over N pooled replays, plus the prepares/
    runs counters showing the schedule was lowered once. *)
 let replay collective server gpus mbytes runs data =
-  let telemetry = Telemetry.create () in
-  let handle = Blink.create ~telemetry server ~gpus in
-  let elems = int_of_float (mbytes *. 1e6 /. Blink.bytes_per_elem) in
-  let plan = Blink.plan handle collective ~elems in
-  let inputs =
-    Array.init plan.Plan.n_ranks (fun r ->
-        Array.init elems (fun i -> Float.of_int (((i * 3) + (r * 7)) mod 11)))
-  in
-  (* Reload every rank's input each iteration, as a training loop would:
-     this is the steady state the pooled memory is built for. *)
-  let load mem (layout : Codegen.layout) =
-    Array.iteri
-      (fun r values ->
-        Blink_sim.Semantics.write mem ~node:r ~buf:layout.Codegen.data.(r)
-          values)
-      inputs
-  in
-  let exec () =
-    if data then ignore (Plan.execute ~load plan)
-    else ignore (Plan.execute ~data:false plan)
-  in
-  exec ();
-  (* warm: sizes the pool, compiles the data kernels *)
+  let handle = Blink.create server ~gpus in
+  let plan = Blink.plan handle collective ~elems:(Util.elems_of_mb mbytes) in
   let runs = max 1 runs in
-  let t0 = Unix.gettimeofday () in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to runs do
-    exec ()
-  done;
-  let words = (Gc.minor_words () -. w0) /. Float.of_int runs in
-  let wall = (Unix.gettimeofday () -. t0) /. Float.of_int runs in
+  let r = Suites.replay ~runs ~data plan in
   Format.printf "%s of %.0f MB, %d steady-state executes (%s pass)@."
     (Plan.collective_name collective) mbytes runs
     (if data then "timing+data" else "timing-only");
   Format.printf "  per execute: %.3f ms wall, %.0f minor words@."
-    (wall *. 1e3) words;
+    (r.Suites.wall_s *. 1e3) r.Suites.minor_words;
   Format.printf "  simulated makespan %.3f ms, chunk %d elems@."
-    ((Plan.execute ~data:false plan).Plan.timing.Blink_sim.Engine.makespan
-    *. 1e3)
+    (Plan.seconds (Plan.execute ~data:false plan) *. 1e3)
     plan.Plan.chunk_elems;
-  Format.printf
-    "  engine.prepares %d vs engine.runs %d (schedule lowered once, \
-     replayed thereafter)@."
-    (Telemetry.counter_value telemetry "engine.prepares")
-    (Telemetry.counter_value telemetry "engine.runs")
+  Suites.print_engine_counters (Blink.telemetry handle)
 
 let replay_cmd =
   Cmd.v
@@ -501,7 +401,7 @@ let prewarm server gpus domains async mbytes_list =
   let keys =
     List.concat_map
       (fun mb ->
-        let elems = int_of_float (mb *. 1e6 /. Blink.bytes_per_elem) in
+        let elems = Util.elems_of_mb mb in
         [ (Plan.All_reduce, elems); (Plan.Broadcast, elems) ])
       mbytes_list
   in
@@ -590,107 +490,21 @@ let degrade_conv =
   in
   Arg.conv (parse, fun ppf (u, v, f) -> Format.fprintf ppf "%d,%d,%g" u v f)
 
-(* Report faults to a live handle one at a time, printing the replan cost
-   and the surviving packing rate after each, then prove the end state
-   matches a fresh handle built directly on the degraded fabric. A fault
-   that partitions the allocation exits with the typed error's report. *)
+(* Report faults to a live handle one at a time, then prove the end
+   state matches a fresh handle built directly on the degraded fabric.
+   A diverging cold replan exits 1, a partitioned allocation exits 2. *)
 let failover server gpus mbytes fail_links degrades fail_gpus cold
     contingencies =
-  let telemetry = Telemetry.create () in
-  let handle = Blink.create ~telemetry server ~gpus in
-  let elems = int_of_float (mbytes *. 1e6 /. Blink.bytes_per_elem) in
-  let sim_ms h =
-    let plan = Blink.plan h Plan.All_reduce ~elems in
-    (Plan.execute ~data:false plan).Plan.timing.Blink_sim.Engine.makespan
-    *. 1e3
+  let faults =
+    List.map (fun (u, v) -> Suites.Fail_link (u, v)) fail_links
+    @ List.map (fun (u, v, f) -> Suites.Degrade (u, v, f)) degrades
+    @ List.map (fun g -> Suites.Fail_gpu g) fail_gpus
   in
-  Format.printf "healthy: %.1f GB/s packing rate, %.3f ms all_reduce of %.0f MB@."
-    (Blink.all_reduce_rate handle) (sim_ms handle) mbytes;
-  let replan = if cold then `Cold else `Warm in
-  if contingencies then begin
-    let t0 = Unix.gettimeofday () in
-    let n =
-      Blink.prewarm ~contingencies:`All handle [ (Plan.All_reduce, elems) ]
-    in
-    Format.printf "prewarmed %d one-link-down contingency plan(s) in %.1f ms@."
-      n
-      ((Unix.gettimeofday () -. t0) *. 1e3)
-  end;
-  let mutations =
-    List.map (fun (u, v) -> (Printf.sprintf "fail-link %d-%d" u v,
-                             fun () -> Blink.fail_link ~replan handle ~u ~v))
-      fail_links
-    @ List.map (fun (u, v, f) -> (Printf.sprintf "degrade %d-%d to %g" u v f,
-                                  fun () ->
-                                    Blink.degrade_link ~replan handle ~u ~v
-                                      ~factor:f))
-        degrades
-    @ List.map (fun g -> (Printf.sprintf "fail-gpu %d" g,
-                          fun () -> Blink.fail_gpu handle ~gpu:g))
-        fail_gpus
-  in
-  if mutations = [] then
-    Format.printf "(no faults requested: pass --fail-link, --degrade or \
-                   --fail-gpu)@."
-  else begin
-    try
-      List.iter
-        (fun (label, apply) ->
-          let hits0 =
-            Telemetry.counter_value telemetry "plan.contingency.hits"
-          in
-          let t0 = Unix.gettimeofday () in
-          apply ();
-          let dt = Unix.gettimeofday () -. t0 in
-          let path =
-            if Telemetry.counter_value telemetry "plan.contingency.hits"
-               > hits0
-            then "contingency"
-            else if cold then "cold"
-            else "warm"
-          in
-          Format.printf "%-22s replanned in %6.1f ms (%s): %.1f GB/s, %.3f \
-                         ms all_reduce@."
-            label (dt *. 1e3) path (Blink.all_reduce_rate handle)
-            (sim_ms handle))
-        mutations;
-      Format.printf "counters: fault.injected %d, plan.cache.invalidations %d@."
-        (Telemetry.counter_value telemetry "fault.injected")
-        (Telemetry.counter_value telemetry "plan.cache.invalidations");
-      (* Cross-check: a handle born on the degraded fabric agrees.
-         Cold (and contingency-served) replans must match bit for bit;
-         a warm replan keeps surviving trees, so its packing may
-         legitimately trade some rate for the sub-10ms replan, and the
-         comparison is informational. *)
-      let fresh =
-        Blink.create ~link_faults:(Blink.link_faults handle) server
-          ~gpus:(Blink.gpus handle)
-      in
-      let agree =
-        Blink.all_reduce_rate fresh = Blink.all_reduce_rate handle
-        && sim_ms fresh = sim_ms handle
-      in
-      if agree then
-        Format.printf "fresh handle on the degraded fabric matches exactly@."
-      else if cold then begin
-        Format.printf "fresh handle on the degraded fabric DIVERGES (bug)@.";
-        exit 1
-      end
-      else
-        Format.printf
-          "fresh handle on the degraded fabric: %.1f GB/s vs %.1f GB/s warm \
-           (surviving trees kept; pass --cold for bit-identity)@."
-          (Blink.all_reduce_rate fresh)
-          (Blink.all_reduce_rate handle)
-    with Blink.Partitioned { alive; unreachable } ->
-      Format.printf
-        "fabric partitioned: gpus {%s} can no longer reach {%s}; \
-         shrink the allocation (e.g. --gpus %s) or repair the link@."
-        (String.concat "," (List.map string_of_int alive))
-        (String.concat "," (List.map string_of_int unreachable))
-        (String.concat "," (List.map string_of_int alive));
-      exit 2
-  end
+  match Suites.failover ~contingencies ~cold ~server ~gpus ~mbytes faults with
+  | Suites.No_faults -> ()
+  | Suites.Survived check ->
+      if cold && not check.Suites.matches then exit 1
+  | Suites.Partitioned -> exit 2
 
 let failover_cmd =
   Cmd.v
@@ -747,72 +561,7 @@ let cluster jobs servers service tenants quota_frac max_plans verify_every
         ?max_store_plans:max_plans ~verify_every ?straggler
         ~straggler_epsilon ~n_jobs:jobs ()
     in
-    let st = r.Scheduler.store in
-    Format.printf
-      "%d jobs over %d tenants: %d admitted, %d rejected (capacity), %d \
-       rejected (quota)@."
-      r.Scheduler.jobs tenants r.Scheduler.admitted_jobs
-      r.Scheduler.rejected_capacity_jobs r.Scheduler.rejected_quota_jobs;
-    Format.printf "slices: %d planned, %d single-gpu, %d pcie-only@."
-      r.Scheduler.planned_slices r.Scheduler.single_gpu_slices
-      r.Scheduler.pcie_slices;
-    Format.printf
-      "shared store: %d hits / %d misses (%.1f%% cross-job hit rate), %d \
-       unique fingerprints, %d live plans, %d evictions@."
-      st.Blink_store.Store.hits st.Blink_store.Store.misses
-      (100. *. r.Scheduler.hit_rate)
-      r.Scheduler.unique_fingerprints st.Blink_store.Store.entries
-      st.Blink_store.Store.evictions;
-    Format.printf "throughput: %.0f jobs/s (%.2f s wall), fairness %.3f@."
-      r.Scheduler.jobs_per_second r.Scheduler.wall_seconds
-      r.Scheduler.fairness;
-    List.iter
-      (fun t ->
-        Format.printf
-          "  tenant %d: %4d submitted, %4d admitted, %3d/%3d rejected \
-           (cap/quota), %10.0f gpu-s@."
-          t.Scheduler.tenant t.Scheduler.submitted t.Scheduler.admitted
-          t.Scheduler.rejected_capacity t.Scheduler.rejected_quota
-          t.Scheduler.gpu_seconds)
-      r.Scheduler.tenants;
-    if verify_every > 0 then
-      Format.printf "verification: %d sampled slices, %d mismatches@."
-        r.Scheduler.verified_slices r.Scheduler.verify_mismatches;
-    Format.printf "observatory (per-tenant service health):@.";
-    List.iter
-      (fun (o : Scheduler.tenant_observatory) ->
-        Format.printf
-          "  tenant %d: %4d jobs, latency %7.2f/%7.2f ms (mean/p95), \
-           queue-wait %6.2f/%6.2f ms, %d straggler slices@."
-          o.Scheduler.ob_tenant o.Scheduler.ob_jobs
-          (o.Scheduler.ob_latency.Scheduler.h_mean_s *. 1e3)
-          (o.Scheduler.ob_latency.Scheduler.h_p95_s *. 1e3)
-          (o.Scheduler.ob_queue_wait.Scheduler.h_mean_s *. 1e3)
-          (o.Scheduler.ob_queue_wait.Scheduler.h_p95_s *. 1e3)
-          o.Scheduler.ob_straggler_slices)
-      r.Scheduler.observatory;
-    List.iteri
-      (fun i (c : Scheduler.fingerprint_class) ->
-        if i < 5 then
-          Format.printf
-            "  class %-22s %5d slices, %6.1f GB/s mean (best %.1f, worst \
-             %.1f), %d stragglers@."
-            c.Scheduler.fc_class c.Scheduler.fc_slices c.Scheduler.fc_mean_gbps
-            c.Scheduler.fc_best_gbps c.Scheduler.fc_worst_gbps
-            c.Scheduler.fc_stragglers)
-      r.Scheduler.classes;
-    Format.printf "stragglers: %d flagged slices (> %.0f%% below the class's \
-                   best rate)@."
-      r.Scheduler.straggler_slices
-      (100. *. r.Scheduler.straggler_epsilon);
-    List.iteri
-      (fun i (s : Scheduler.straggler) ->
-        if i < 5 then
-          Format.printf
-            "  tenant %d on class %s: %.1f GB/s achieved vs %.1f expected@."
-            s.Scheduler.st_tenant s.Scheduler.st_class
-            s.Scheduler.st_achieved_gbps s.Scheduler.st_expected_gbps)
-      r.Scheduler.stragglers;
+    Suites.print_service ~verify_every r;
     if r.Scheduler.verify_mismatches > 0 then exit 1
   end
 
@@ -857,78 +606,18 @@ let cluster_cmd =
 
 (* ----------------------------- tournament ----------------------------- *)
 
-module Planner = Blink_core.Planner
-
 (* Every registered planner backend on one allocation: packing rates and
    tree counts, DES-achieved Broadcast/AllReduce, planning wall-clock,
    and the differential check (Treegen.feasible + bit-equality against
    the reference semantics). Non-zero exit when any backend fails the
-   check — the same criteria as `bench/main.exe -- tournament`, scoped to
-   a single fabric for interactive use. *)
+   check — `bench/main.exe -- tournament` scoped to a single ungated
+   fabric. *)
 let tournament server gpus mbytes =
-  let module Sem = Blink_sim.Semantics in
-  let module Program = Blink_sim.Program in
-  let data_correct handle =
-    let elems = 2_048 in
-    let plan = Blink.plan ~chunk_elems:512 handle Plan.All_reduce ~elems in
-    let prog = plan.Plan.program in
-    let layout = plan.Plan.layout in
-    let k = Array.length layout.Codegen.data in
-    let mem = Sem.memory_of_program prog in
-    let rmem = Sem.Ref.memory_of_program prog in
-    for r = 0 to k - 1 do
-      let values =
-        Array.init elems (fun i -> Float.of_int (((i * 3) + (r * 7)) mod 11))
-      in
-      Sem.write mem ~node:r ~buf:layout.Codegen.data.(r) values;
-      Sem.Ref.write rmem ~node:r ~buf:layout.Codegen.data.(r) values
-    done;
-    Sem.run prog mem;
-    Sem.Ref.run prog rmem;
-    List.for_all
-      (fun (node, buf, _len) ->
-        Sem.Ref.read rmem ~node ~buf = Sem.read mem ~node ~buf)
-      (Program.buffers prog)
-  in
-  let elems = int_of_float (mbytes *. 1_000_000. /. 4.) in
-  Format.printf "%s gpus {%s}, %.0f MB:@." server.Server.name
-    (Alloc.to_string (Array.to_list gpus))
-    mbytes;
-  Format.printf "  %-11s %9s %9s %7s %7s %9s %5s %5s@." "backend" "bcast"
-    "allred" "btrees" "atrees" "plan-ms" "feas" "data";
-  let failed = ref false in
-  List.iter
-    (fun b ->
-      let t0 = Unix.gettimeofday () in
-      let handle = Blink.create ~planner:b server ~gpus in
-      let plan_s = Unix.gettimeofday () -. t0 in
-      let g = Blink.graph handle in
-      let feasible =
-        List.for_all
-          (function None -> false | Some p -> Treegen.feasible g p)
-          [ Blink.packing handle; Blink.undirected_packing handle ]
-      in
-      let data_ok = data_correct handle in
-      if not (feasible && data_ok) then failed := true;
-      let chunk = Blink.heuristic_chunk ~elems in
-      let gbps collective =
-        Blink.algbw_gbps ~elems
-          (Plan.execute ~data:false
-             (Blink.plan ~chunk_elems:chunk handle collective ~elems))
-            .Plan.timing
-      in
-      let trees sel =
-        match sel handle with
-        | None -> 0
-        | Some p -> List.length p.Treegen.trees
-      in
-      Format.printf "  %-11s %5.1f GB/s %5.1f GB/s %5d %7d %9.1f %5b %5b@."
-        (Planner.name b) (gbps Plan.Broadcast) (gbps Plan.All_reduce)
-        (trees Blink.packing)
-        (trees Blink.undirected_packing)
-        (plan_s *. 1e3) feasible data_ok)
-    (Planner.all ());
-  if !failed then begin
+  if
+    List.exists
+      (fun (e : Suites.entry) -> not (e.Suites.feasible && e.Suites.data_correct))
+      (Suites.tournament ~mbytes server ~gpus)
+  then begin
     Format.eprintf "tournament: a backend failed the differential check@.";
     exit 1
   end

@@ -466,6 +466,10 @@ let size_class ~elems =
   let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
   log2 (max 1 elems) 0
 
+(* The [warm_topology] publication rule, shared by every path that
+   writes derived state into the store. *)
+let publishes t = t.owns_store || not t.warm_topology
+
 let tuned_chunk t ~elems =
   let fp = Fingerprint.id t.fingerprint in
   let cls = size_class ~elems in
@@ -495,9 +499,8 @@ let tuned_chunk t ~elems =
           in
           (* Probes against a warm topology stay handle-local on a
              shared store (same publication rule as compiled plans). *)
-          if t.warm_topology && not t.owns_store then
-            Hashtbl.replace t.chunk_hints cls (`Reuse chosen)
-          else Store.add t.store ~fp (Chunk_key cls) (Chunk chosen);
+          if publishes t then Store.add t.store ~fp (Chunk_key cls) (Chunk chosen)
+          else Hashtbl.replace t.chunk_hints cls (`Reuse chosen);
           chosen)
 
 (* ------------------------------------------------------------------ *)
@@ -514,7 +517,7 @@ let plan ?chunk_elems t collective ~elems =
   in
   let key = (collective, elems, chunk) in
   let build () = Compiled (compile t key) in
-  if t.warm_topology && not t.owns_store then begin
+  if not (publishes t) then begin
     (* Warm-derived topology on a shared store: never publish. Existing
        (cold-built or migrated) entries still serve; misses compile
        privately and are not inserted, so other tenants only ever see
@@ -853,7 +856,9 @@ let snapshot t keys =
   ignore (broadcast_trees t);
   ignore (all_reduce_trees t);
   let fp = Fingerprint.id t.fingerprint in
-  let keys = dedup_by Fun.id keys in
+  (* A handle that may not publish has nothing to build: its own [plan]
+     calls compile privately anyway. *)
+  let keys = if publishes t then dedup_by Fun.id keys else [] in
   let chunks = Hashtbl.create 8 in
   let untuned =
     List.filter_map
@@ -946,11 +951,7 @@ and prewarm_contingencies ?pool ~contingencies t keys =
         if t.server.Server.nvswitch <> None then []
         else List.map (fun (u, v, _) -> (u, v)) t.server.Server.nvlinks
   in
-  if pairs = [] then 0
-  else if t.warm_topology && not t.owns_store then
-    (* Same publication rule as [plan]: a warm topology never writes
-       derived state into a shared store. *)
-    0
+  if pairs = [] || not (publishes t) then 0
   else begin
     let live g = rank_of_gpu t.gpus g >= 0 in
     let current = link_faults t in

@@ -198,6 +198,11 @@ val prewarm :
     with any pool size. After [prewarm], {!plan} calls for these keys are
     cache hits.
 
+    A handle on a shared store whose topology came from a warm replan
+    publishes nothing (its {!plan} calls compile privately, so other
+    tenants only see cold-equivalent state): [prewarm] then returns [0]
+    and inserts no chunk or plan, contingencies included.
+
     [contingencies] additionally precomputes background "one link down"
     plans: for [`All] every NVLink pair of the live fabric (for
     [`Pairs ps] just those pairs), the complete post-fault state —
@@ -250,7 +255,8 @@ val prewarm_await : t -> prewarm_job -> int
     handle (chunk cache and plan store insertions, miss/eviction
     counters — the same install step {!prewarm} runs), and return the
     number of plans this call inserted: built plans whose key is cached
-    by the time of the await are dropped uncounted. Raises [Invalid_argument] if the
+    by the time of the await are dropped uncounted, and a warm handle on
+    a shared store returns [0] as {!prewarm} does. Raises [Invalid_argument] if the
     job was already awaited. If the pipeline raised, that exception is
     re-raised here and the handle is left unmutated (the inflight guard
     is still released). *)

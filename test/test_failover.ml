@@ -459,6 +459,27 @@ let test_isomorphic_tenants_share_contingencies () =
     (Blink.plan b Plan.All_reduce ~elems)
     (Blink.plan fresh Plan.All_reduce ~elems)
 
+(* A warm replan on a shared store keeps what it derives private: prewarm,
+   like plan, inserts no chunk or plan, or an isomorphic cold tenant is
+   served the warm packing instead of the one a fresh handle builds. *)
+let check_warm_prewarm_stays_private prewarm () =
+  let elems = 4_000_000 in
+  let faults = [ ((5, 6), Server.Down) ] in
+  let store = Blink.new_store () in
+  let h = Blink.create ~store Server.dgx1v ~gpus:full in
+  ignore (Blink.plan h Plan.All_reduce ~elems);
+  Blink.fail_link h ~u:5 ~v:6;
+  let entries () = (Blink.store_stats store).Blink_store.Store.entries in
+  let before = entries () in
+  Alcotest.(check int) "nothing inserted" 0
+    (prewarm h [ (Plan.All_reduce, elems) ]);
+  Alcotest.(check int) "store unchanged" before (entries ());
+  let tenant = Blink.create ~store ~link_faults:faults Server.dgx1v ~gpus:full in
+  let fresh = Blink.create ~link_faults:faults Server.dgx1v ~gpus:full in
+  check_same_plan "cold tenant on the shared store"
+    (Blink.plan tenant Plan.All_reduce ~elems)
+    (Blink.plan fresh Plan.All_reduce ~elems)
+
 let test_chunk_reuse_only_when_rate_unchanged () =
   (* First fault moves the bottleneck rate: the tuned chunk re-probes
      (from the old optimum). Second fault leaves the repacked rate
@@ -513,6 +534,11 @@ let () =
             test_isomorphic_tenants_share_contingencies;
           Alcotest.test_case "chunk reuse only when rate unchanged" `Quick
             test_chunk_reuse_only_when_rate_unchanged;
+          Alcotest.test_case "warm prewarm stays private" `Quick
+            (check_warm_prewarm_stays_private (fun h keys -> Blink.prewarm h keys));
+          Alcotest.test_case "warm async prewarm stays private" `Quick
+            (check_warm_prewarm_stays_private (fun h keys ->
+                 Blink.prewarm_await h (Blink.prewarm_async h keys)));
         ] );
       ( "partition",
         [
